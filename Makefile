@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint fuzz-corpus-lint bench serve profile chaos-determinism routebench-determinism routebench-lazy-determinism distsim-determinism routeload-determinism fuzz-smoke
+.PHONY: check fmt vet build test race lint fuzz-corpus-lint bench serve profile chaos-determinism routebench-determinism routebench-lazy-determinism distsim-determinism routeload-determinism fuzz-smoke perfbench-check
 
 # The gate: vet, build and -race cover every package (./...), including
 # internal/faultsim and cmd/chaossim; lint runs the repo's own static
@@ -12,8 +12,9 @@ GO ?= go
 # ship a seed corpus; the determinism targets assert that the parallel
 # build pipeline and the fault injector's seed guarantee produce
 # byte-identical JSON across runs; fuzz-smoke gives every wire codec a
-# short fuzz burst on top of its checked-in seed corpus.
-check: fmt vet lint fuzz-corpus-lint build race chaos-determinism routebench-determinism routebench-lazy-determinism distsim-determinism routeload-determinism fuzz-smoke
+# short fuzz burst on top of its checked-in seed corpus; perfbench-check
+# vets and race-tests the benchmark module, which ./... does not reach.
+check: fmt vet lint fuzz-corpus-lint build race chaos-determinism routebench-determinism routebench-lazy-determinism distsim-determinism routeload-determinism fuzz-smoke perfbench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -56,6 +57,12 @@ fuzz-corpus-lint:
 		done; \
 	done; \
 	[ $$bad -eq 0 ] && echo "fuzz corpora: ok" || exit 1
+
+# perfbench is its own Go module (replace compactrouting => ../), so the
+# vet, build and race targets above never reach it; it imports the
+# serving engine and the walk, so vet and race-test it here.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test -race ./...
 
 # Machine-readable benchmark sweeps (write BENCH_*.json).
 bench:

@@ -3,12 +3,12 @@
 // seeded deterministic FaultPlan, with a source-side reliability layer
 // (retries with exponential backoff and jitter, per-delivery deadline).
 //
-// It executes deliveries through the exact same sim.Router step
-// functions as internal/sim — the fault layer sits between hops, never
-// inside a forwarding decision, so the local-decision property the
-// paper's schemes are analyzed under is preserved: a node's table and
-// the packet header alone determine the next hop, and faults only decide
-// whether that hop's transmission survives.
+// It executes deliveries through internal/sim's one hop loop (sim.Walk)
+// with the faults as a per-hop observer — the fault layer sits between
+// hops, never inside a forwarding decision, so the local-decision
+// property the paper's schemes are analyzed under is preserved: a
+// node's table and the packet header alone determine the next hop, and
+// faults only decide whether that hop's transmission survives.
 //
 // Determinism: every random draw is a pure hash of
 // (plan seed, delivery id, attempt, hop, draw kind). Two runs of the
@@ -25,7 +25,6 @@
 package faultsim
 
 import (
-	"fmt"
 	"math"
 
 	"compactrouting/internal/graph"
@@ -283,88 +282,62 @@ func (in *Injector) backoff(rel Reliability, delivery, attempt uint64) float64 {
 	return b
 }
 
-// attempt walks one transmission through the router's step functions,
-// mirroring sim.RouteOnce hop for hop; faults may drop the packet
-// between steps. It returns the partial or complete walk, whether the
-// packet was dropped by an injected fault, and the virtual end time.
-// res.Err is set only for non-retryable routing errors.
+// faults is one attempt's observer on sim.Walk: it decides, between
+// hops, whether the transmission survives the plan's outages and loss,
+// advances the attempt's virtual clock by each hop's latency, and
+// records the surviving walk through the embedded sim.Recorder.
+type faults[H sim.Header] struct {
+	sim.Recorder[H]
+	in      *Injector
+	id, att uint64
+	hop     uint64  // hops taken so far: the loss and latency draw coordinate
+	t       float64 // virtual time
+	dropped bool
+}
+
+// Start drops the packet when its source is down at send time.
+func (f *faults[H]) Start(src, bits int) bool {
+	f.Recorder.Start(src, bits)
+	f.dropped = !f.in.nodeUp(src, f.t)
+	return !f.dropped
+}
+
+// Hop drops the packet unless the transmission survives, and records
+// the hop when it does.
+func (f *faults[H]) Hop(from, to int, nh H, bits int, w float64) bool {
+	if !f.survives(from, to) {
+		f.dropped = true
+		return false
+	}
+	f.hop++
+	return f.Recorder.Hop(from, to, nh, bits, w)
+}
+
+// survives decides one transmission: it leaves at time t over edge
+// (from, to), which must be up and survive its loss draw, and arrives
+// after the hop's latency, when the receiving node must be up.
+func (f *faults[H]) survives(from, to int) bool {
+	if !f.in.edgeUp(from, to, f.t) {
+		return false
+	}
+	if p := f.in.lossOn(from, to); p > 0 && f.in.unit(drawLoss, f.id, f.att, f.hop) < p {
+		return false
+	}
+	f.t += f.in.hopLatency(f.id, f.att, f.hop)
+	return f.in.nodeUp(to, f.t)
+}
+
+// attempt walks one transmission through sim.Walk with the fault
+// observer attached. It returns the partial or complete walk, whether
+// the packet was dropped by an injected fault, and the virtual end
+// time. res.Err is set only for non-retryable routing errors. Each
+// attempt restarts the trace: the surviving hop log describes the
+// final attempt's walk, matching Result.Sim.
 func attempt[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops int,
 	in *Injector, id, att uint64, start float64, tr *trace.Trace) (res sim.Result, dropped bool, end float64) {
-	t := start
-	res = sim.Result{Src: src}
-	h, err := r.Prepare(dst)
-	if err != nil {
-		if tr != nil {
-			tr.Begin(int32(src), 0)
-		}
-		res.Err = err
-		return res, false, t
-	}
-	res.Path = []int{src}
-	res.MaxHeaderBits = h.Bits()
-	// Each attempt restarts the trace: the surviving hop log describes
-	// the final attempt's walk, matching Result.Sim.
-	if tr != nil {
-		tr.Begin(int32(src), int32(res.MaxHeaderBits))
-	}
-	if !in.nodeUp(src, t) {
-		return res, true, t
-	}
-	at := src
-	for {
-		next, nh, arrived, err := r.Step(at, h)
-		if err != nil {
-			res.Err = fmt.Errorf("sim: step at %d: %w", at, err)
-			return res, false, t
-		}
-		if arrived {
-			res.Dst = at
-			if tr != nil {
-				tr.Dst = int32(at)
-			}
-			return res, false, t
-		}
-		if len(res.Path) > maxHops {
-			res.Err = sim.HopLimitError(maxHops)
-			return res, false, t
-		}
-		w, ok := g.EdgeWeight(at, next)
-		if !ok {
-			res.Err = fmt.Errorf("sim: step at %d forwarded to non-neighbor %d", at, next)
-			return res, false, t
-		}
-		hop := uint64(len(res.Path) - 1)
-		// The transmission leaves at time t over edge (at, next)...
-		if !in.edgeUp(at, next, t) {
-			return res, true, t
-		}
-		if p := in.lossOn(at, next); p > 0 && in.unit(drawLoss, id, att, hop) < p {
-			return res, true, t
-		}
-		// ...and arrives after the hop's latency, when the receiving
-		// node must be up.
-		t += in.hopLatency(id, att, hop)
-		if !in.nodeUp(next, t) {
-			return res, true, t
-		}
-		b := nh.Bits()
-		if b > res.MaxHeaderBits {
-			res.MaxHeaderBits = b
-		}
-		if tr != nil {
-			tr.Hops = append(tr.Hops, trace.Hop{
-				From:       int32(at),
-				To:         int32(next),
-				Phase:      sim.PhaseOf(nh),
-				HeaderBits: int32(b),
-				Dist:       w,
-			})
-		}
-		h = nh
-		res.Path = append(res.Path, next)
-		res.Cost += w
-		at = next
-	}
+	f := faults[H]{Recorder: sim.NewRecorder[H](src, tr), in: in, id: id, att: att, t: start}
+	lr := sim.Walk[H](g, r, src, dst, maxHops, &f)
+	return f.Result(lr, lr.Err == nil && !f.dropped), f.dropped, f.t
 }
 
 // Deliver executes one delivery under the injector's faults with the
@@ -385,9 +358,6 @@ func Deliver[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops in
 // whole delivery. A nil tr takes the exact Deliver path.
 func DeliverTraced[H sim.Header](g *graph.Graph, r sim.Router[H], src, dst, maxHops int,
 	in *Injector, rel Reliability, id uint64, tr *trace.Trace) Result {
-	if maxHops <= 0 {
-		maxHops = 8 * g.N()
-	}
 	maxAttempts := rel.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 1

@@ -52,13 +52,15 @@ func (fc *framedCycle) run(t testing.TB, eng *Engine) {
 
 // TestFramedRoutePathAllocs pins the framed batch route path —
 // decode→route→encode — at zero heap allocations per cycle, on the
-// cache-hit path AND the cache-miss path, for both a baseline and a
-// labeled scheme. AllocsPerRun's warm-up invocation grows the reusable
-// buffers and primes the hit-path cache; after that, every cycle must
-// touch only preallocated memory.
+// cache-hit path AND the cache-miss path, for every scheme: the miss
+// path is the single walk (sim.Walk with no observer) under each
+// scheme's step functions, name-independent searches included.
+// AllocsPerRun's warm-up invocation grows the reusable buffers and
+// primes the hit-path cache; after that, every cycle must touch only
+// preallocated memory.
 func TestFramedRoutePathAllocs(t *testing.T) {
 	pairs := []frame.Pair{{Src: 0, Dst: 24}, {Src: 3, Dst: 17}, {Src: 24, Dst: 1}, {Src: 7, Dst: 20}}
-	for _, scheme := range []string{"full-table", "simple-labeled"} {
+	for _, scheme := range SchemeNames {
 		// Hit path: caching on; after warm-up every query is a slot hit.
 		hitEng := tcpTestEngine(t, 1<<10, scheme)
 		hit := newFramedCycle(t, pairs)

@@ -1,133 +1,135 @@
 package server
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
 
-// cacheKey identifies one route query. gen is the engine state
-// generation the route was computed against: reload advances the
-// generation, making every old entry unreachable (they age out of the
-// LRU instead of requiring a stop-the-world purge), and a slow query
-// that finishes against the old state can never poison the new one.
-type cacheKey struct {
-	scheme   string
-	src, dst int
-	gen      uint64
+// route is one served route as the cache holds it: the walk's shape,
+// the optimal distance, and the path when a path-recording walk
+// produced it (nil after a shape-only walk). Path is shared between
+// every response that reads it and must not be mutated.
+type route struct {
+	hops, maxHeaderBits int32
+	cost, optimal       float64
+	path                []int
 }
 
-// routeCache is a sharded LRU over completed route results. Shards keep
-// lock contention off the hot path when many clients hit the cache
-// concurrently; each shard holds its own lock, map and recency list.
+// routeCache is the engine's one route cache, read and written by both
+// serving planes: a flat, direct-mapped array of value slots. The hash
+// of (scheme index, src, dst, generation) selects a slot; the slot
+// stores the full key and compares it explicitly, so colliding queries
+// simply overwrite each other (direct-mapped eviction). The generation
+// is the engine state's: reload advances it, which makes every old
+// entry unreachable without a purge, and a slow query that finishes
+// against the old state can never poison the new one.
+//
+// Every operation — hit, miss, overwrite — touches only preallocated
+// slots, which is what lets the framed batch route path pin 0
+// allocs/op. A nil *routeCache is a disabled cache: every get misses
+// without counting, and put stores nothing.
 type routeCache struct {
-	shards  []*cacheShard
+	slots   []cacheSlot
 	mask    uint64
 	hits    atomic.Uint64 // guarded by atomic
 	misses  atomic.Uint64 // guarded by atomic
 	evicted atomic.Uint64 // guarded by atomic
+	size    atomic.Int64  // guarded by atomic; occupied slots
 }
 
-type cacheShard struct {
-	mu  sync.Mutex
-	cap int                        // guarded by mu
-	ll  *list.List                 // guarded by mu; front = most recent
-	m   map[cacheKey]*list.Element // guarded by mu
+type cacheSlot struct {
+	mu     sync.Mutex
+	full   bool   // guarded by mu
+	scheme int32  // guarded by mu
+	src    int32  // guarded by mu
+	dst    int32  // guarded by mu
+	gen    uint64 // guarded by mu
+	val    route  // guarded by mu
 }
 
-type cacheEntry struct {
-	key cacheKey
-	val *RouteResult
-}
-
-const cacheShards = 16 // power of two
-
-// newRouteCache builds a cache bounded at capacity entries total.
-// capacity <= 0 disables caching (every lookup misses). Capacities
-// below cacheShards get fewer shards (the largest power of two not
-// exceeding capacity) so the shards*per bound never exceeds capacity.
-func newRouteCache(capacity int) *routeCache {
-	shards := cacheShards
-	for capacity > 0 && shards > capacity {
-		shards /= 2
+// newRouteCache sizes the slot array to the largest power of two not
+// exceeding entries; entries <= 0 disables the cache (nil).
+func newRouteCache(entries int) *routeCache {
+	if entries <= 0 {
+		return nil
 	}
-	c := &routeCache{shards: make([]*cacheShard, shards), mask: uint64(shards - 1)}
-	per := capacity / shards
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{cap: per, ll: list.New(), m: make(map[cacheKey]*list.Element)}
+	n := 1
+	for n*2 <= entries {
+		n *= 2
 	}
-	return c
+	return &routeCache{slots: make([]cacheSlot, n), mask: uint64(n - 1)}
 }
 
-// hash mixes the key fields; FNV-1a over the scheme name plus the
-// endpoint coordinates is plenty for shard selection.
-func (c *routeCache) hash(k cacheKey) uint64 {
+// cacheHash mixes the key fields (FNV-1a).
+func cacheHash(scheme, src, dst int, gen uint64) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(k.scheme); i++ {
-		h = (h ^ uint64(k.scheme[i])) * 1099511628211
-	}
-	h = (h ^ uint64(k.src)) * 1099511628211
-	h = (h ^ uint64(k.dst)) * 1099511628211
-	h = (h ^ k.gen) * 1099511628211
+	h = (h ^ uint64(scheme)) * 1099511628211
+	h = (h ^ uint64(src)) * 1099511628211
+	h = (h ^ uint64(dst)) * 1099511628211
+	h = (h ^ gen) * 1099511628211
 	return h
 }
 
-// Get returns the cached result for the key at the given generation.
-func (c *routeCache) Get(scheme string, src, dst int, gen uint64) (*RouteResult, bool) {
-	k := cacheKey{scheme: scheme, src: src, dst: dst, gen: gen}
-	s := c.shards[c.hash(k)&c.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[k]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	c.hits.Add(1)
-	// Read val under the lock: Put overwrites it in place when the key
-	// already exists, so reading after Unlock would race. The counters
-	// are atomics and ride inside the critical section, like liteCache.
-	return el.Value.(*cacheEntry).val, true
+// holdsLocked reports whether the slot holds the key. The caller holds
+// s.mu.
+func (s *cacheSlot) holdsLocked(scheme, src, dst int, gen uint64) bool {
+	return s.full && s.scheme == int32(scheme) && s.src == int32(src) && s.dst == int32(dst) && s.gen == gen
 }
 
-// Put stores a result under the given generation, evicting the least
-// recently used entry of the shard when full.
-func (c *routeCache) Put(scheme string, src, dst int, gen uint64, v *RouteResult) {
-	k := cacheKey{scheme: scheme, src: src, dst: dst, gen: gen}
-	s := c.shards[c.hash(k)&c.mask]
+// get returns the cached route for the key at generation gen. A query
+// that needs the path misses on a slot holding only the shape: its
+// walk records the path and refills the slot. The counter updates ride
+// inside the critical section: they are atomics, and the deferred
+// unlock keeps the lock/unlock pairing syntactically checkable
+// (lockorder) on this hot function.
+//
+//determinlint:hotpath
+func (c *routeCache) get(scheme, src, dst int, gen uint64, needPath bool) (route, bool) {
+	if c == nil {
+		return route{}, false
+	}
+	s := &c.slots[cacheHash(scheme, src, dst, gen)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cap <= 0 {
+	if !s.holdsLocked(scheme, src, dst, gen) || needPath && s.val.path == nil {
+		c.misses.Add(1)
+		return route{}, false
+	}
+	c.hits.Add(1)
+	return s.val, true
+}
+
+// put stores a route, overwriting whatever key occupied the slot. A
+// shape-only route never replaces the same key's path-holding entry.
+//
+//determinlint:hotpath
+func (c *routeCache) put(scheme, src, dst int, gen uint64, v route) {
+	if c == nil {
 		return
 	}
-	if el, ok := s.m[k]; ok {
-		el.Value.(*cacheEntry).val = v
-		s.ll.MoveToFront(el)
+	s := &c.slots[cacheHash(scheme, src, dst, gen)&c.mask]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	same := s.holdsLocked(scheme, src, dst, gen)
+	if same && v.path == nil {
 		return
 	}
-	s.m[k] = s.ll.PushFront(&cacheEntry{key: k, val: v})
-	if s.ll.Len() > s.cap {
-		old := s.ll.Back()
-		s.ll.Remove(old)
-		delete(s.m, old.Value.(*cacheEntry).key)
+	if !s.full {
+		c.size.Add(1)
+	} else if !same {
 		c.evicted.Add(1)
 	}
+	s.full = true
+	s.scheme, s.src, s.dst = int32(scheme), int32(src), int32(dst)
+	s.gen = gen
+	s.val = v
 }
 
-// Len returns the total resident entries (including not-yet-evicted
-// stale generations).
-func (c *routeCache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
+// stats reports the cumulative counters and the occupied slots (stale
+// generations included); zeros when the cache is disabled.
+func (c *routeCache) stats() (hits, misses, evicted uint64, size int) {
+	if c == nil {
+		return 0, 0, 0, 0
 	}
-	return n
-}
-
-// Stats reports cumulative counters.
-func (c *routeCache) Stats() (hits, misses, evicted uint64, size int) {
-	return c.hits.Load(), c.misses.Load(), c.evicted.Load(), c.Len()
+	return c.hits.Load(), c.misses.Load(), c.evicted.Load(), int(c.size.Load())
 }

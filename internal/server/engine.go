@@ -5,16 +5,18 @@
 //
 // The package is layered (see DESIGN.md §server architecture):
 //
-//	handlers (HTTP/JSON)  ->  Engine (schemes, worker pool)  ->  route cache (sharded LRU)
-//	                                 |
-//	                          sim.RouteOnce over sim.Router adapters
+//	handlers (HTTP/JSON) --.
+//	                        +-> Engine.answer -> route cache (direct-mapped slots, both planes)
+//	TCP frames (RouteLite) -'         |
+//	                          one runner per scheme -> sim.Walk over sim.Router adapters
 //
-// Every scheme is driven through its internal/sim Router adapter — the
-// same pure (table, header) step functions validated by the concurrent
-// simulator — so a served route is byte-identical to the scheme's
-// analyzed walk. The engine is race-clean: scheme tables are immutable
-// after compilation, per-query state lives in the packet header, and
-// reload swaps the whole immutable state atomically.
+// Every scheme is driven through its internal/sim Router adapter and
+// sim.Walk, the one hop loop — the same pure (table, header) step
+// functions validated by the concurrent simulator — so a served route
+// is byte-identical to the scheme's analyzed walk. The engine is
+// race-clean: scheme tables are immutable after compilation, per-query
+// state lives in the packet header, and reload swaps the whole
+// immutable state atomically.
 package server
 
 import (
@@ -166,51 +168,69 @@ type GraphInfo struct {
 	NormalizedDiameter float64 `json:"normalized_diameter"`
 }
 
-// scheme is one compiled scheme plus its type-erased query runners.
+// scheme is one compiled scheme plus its type-erased runner.
 type scheme struct {
 	info SchemeInfo
 	// impl is the concrete scheme object (e.g. *labeled.Simple) the
-	// runners close over; the snapshot plane serializes it.
+	// runner closes over; the snapshot plane serializes it.
 	impl any
-	run  func(src, dst int) sim.Result
-	// runLite is the zero-allocation route: shape only, no path slice
-	// (the binary serving plane's hot path). The hotpath annotation
-	// lets RouteLite call through this indirection; the closures bound
-	// here wrap sim.RouteLite, which carries its own annotation, and
-	// TestFramedRoutePathAllocs pins the whole cycle at 0 allocs/op.
+	// run is the scheme's one runner over sim.Walk. The hotpath
+	// annotation lets RouteLite call through this indirection: with a
+	// zero walkSpec the runner is sim.RouteLite, which carries its own
+	// annotation, and TestFramedRoutePathAllocs pins the whole cycle at
+	// 0 allocs/op for every scheme.
 	//
 	//determinlint:hotpath
-	runLite func(src, dst int) sim.LiteResult
-	// runTraced drives the identical step functions with a trace
-	// attached (?trace=1 queries and 1-in-N sampling).
-	runTraced func(src, dst int, tr *trace.Trace) sim.Result
-	// chaos runs the same step functions under fault injection; nil
-	// unless the engine was configured with ChaosParams.
-	chaos       func(src, dst int, id uint64) faultsim.Result
-	chaosTraced func(src, dst int, id uint64, tr *trace.Trace) faultsim.Result
+	run runner
+}
+
+// runner walks one query from src to node dst as spec asks.
+type runner func(src, dst int, spec walkSpec) walkOut
+
+// walkSpec says what a walk records besides its shape.
+type walkSpec struct {
+	path  bool         // record the path (HTTP answers)
+	tr    *trace.Trace // record a hop log; nil for none
+	chaos uint64       // nonzero: deliver under the fault injector with this delivery id
+}
+
+// walkOut is a runner's result: the walk's shape, the path when one was
+// recorded, and the reliability layer's work under fault injection.
+type walkOut struct {
+	sim.LiteResult
+	path            []int
+	attempts, drops int
 }
 
 // state is the engine's immutable-after-build world; reload builds a
 // fresh one and swaps the pointer.
 type state struct {
-	nw      *compactrouting.Network
-	seed    int64
-	gen     uint64
-	schemes map[string]*scheme
-	order   []string
-	// list aliases schemes in compile order: the binary protocol
-	// addresses schemes by index, and index lookups stay off the map.
-	list []*scheme
+	nw    *compactrouting.Network
+	seed  int64
+	gen   uint64
+	order []string
+	// list holds the schemes in compile order: the binary protocol and
+	// the route cache address schemes by index; index maps names to it.
+	list  []*scheme
+	index map[string]int
+}
+
+func newState(nw *compactrouting.Network, seed int64, gen uint64) *state {
+	return &state{nw: nw, seed: seed, gen: gen, index: make(map[string]int)}
+}
+
+// add appends a compiled scheme in compile order.
+func (st *state) add(s *scheme) {
+	st.index[s.info.Name] = len(st.list)
+	st.order = append(st.order, s.info.Name)
+	st.list = append(st.list, s)
 }
 
 // Engine owns the compiled schemes, the route cache and the metrics.
 // All methods are safe for concurrent use.
 type Engine struct {
-	cfg   Config
-	cache *routeCache
-	// lite is the binary plane's flat route cache: value slots, no
-	// allocation on hit or miss (nil when caching is disabled).
-	lite        *liteCache
+	cfg         Config
+	cache       *routeCache // nil when caching is disabled
 	met         *metrics
 	workers     int
 	chaos       *chaosRuntime // nil when fault injection is off
@@ -256,7 +276,6 @@ func newEngine(cfg Config, workers, hopCap int) *Engine {
 	return &Engine{
 		cfg:         cfg,
 		cache:       newRouteCache(cfg.CacheEntries),
-		lite:        newLiteCache(cfg.CacheEntries),
 		met:         newMetrics(cfg.Schemes),
 		workers:     workers,
 		chaos:       newChaosRuntime(cfg.Chaos, cfg.Seed),
@@ -271,7 +290,7 @@ func (e *Engine) build(seed int64, gen uint64) (*state, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: build network: %w", err)
 	}
-	st := &state{nw: nw, seed: seed, gen: gen, schemes: make(map[string]*scheme)}
+	st := newState(nw, seed, gen)
 	// Schemes compile independently (shared graph/oracle are read-only),
 	// so the whole set builds in parallel on startup and /reload; the
 	// ordered MapErr keeps compile order — and any error — identical to
@@ -287,52 +306,52 @@ func (e *Engine) build(seed int64, gen uint64) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range e.cfg.Schemes {
-		st.schemes[name] = compiled[i]
-		st.order = append(st.order, name)
-		st.list = append(st.list, compiled[i])
+	for _, s := range compiled {
+		st.add(s)
 	}
 	return st, nil
 }
 
-// runners is the type-erased query surface bind produces for a scheme.
-type runners struct {
-	run         func(src, dst int) sim.Result
-	runLite     func(src, dst int) sim.LiteResult
-	runTraced   func(src, dst int, tr *trace.Trace) sim.Result
-	chaos       func(src, dst int, id uint64) faultsim.Result
-	chaosTraced func(src, dst int, id uint64, tr *trace.Trace) faultsim.Result
+// bind wraps a generic Router into the scheme's one runner. addr
+// translates a destination NODE id into the scheme's address space (a
+// label or an original name), so every scheme serves the same API.
+// Every walk runs through sim.Walk: with nothing to record it is
+// sim.RouteLite (no observer, no allocation); a path or a trace attaches
+// sim's Recorder (sim.RouteOnceTraced); a chaos delivery id goes through
+// faultsim.DeliverTraced, whose fault observer drives the same loop.
+// Traced and untraced walks share one code path, so a traced route is
+// byte-identical to an untraced one.
+func bind[H sim.Header](g *graph.Graph, r sim.Router[H], addr func(int) int, maxHops int, ch *chaosRuntime) runner {
+	return func(src, dst int, spec walkSpec) walkOut {
+		switch {
+		case spec.chaos != 0:
+			res := faultsim.DeliverTraced(g, r, src, addr(dst), maxHops, ch.in, ch.rel, spec.chaos, spec.tr)
+			out := shapeOf(res.Sim)
+			out.attempts, out.drops = res.Attempts, res.Drops
+			if !res.Delivered && out.Err == nil {
+				out.Err = fmt.Errorf("delivery failed after %d attempts (%d packets dropped)", res.Attempts, res.Drops)
+			}
+			return out
+		case spec.path || spec.tr != nil:
+			return shapeOf(sim.RouteOnceTraced(g, r, src, addr(dst), maxHops, spec.tr))
+		default:
+			return walkOut{LiteResult: sim.RouteLite(g, r, src, addr(dst), maxHops)}
+		}
+	}
 }
 
-// bind wraps a generic Router into the engine's uniform runners. addr
-// translates a destination NODE id into the scheme's address space (a
-// label or an original name), so every scheme serves the same API. The
-// chaos runners drive the identical step functions through
-// faultsim.Deliver and are nil when chaos is off. Traced and untraced
-// runners share one code path (RouteOnceTraced with a nil trace is
-// RouteOnce), so a traced route is byte-identical to an untraced one.
-func bind[H sim.Header](g *graph.Graph, r sim.Router[H], addr func(int) int, maxHops int, ch *chaosRuntime) runners {
-	rn := runners{
-		run: func(src, dst int) sim.Result {
-			return sim.RouteOnce(g, r, src, addr(dst), maxHops)
+// shapeOf reads a path-carrying walk as a runner result.
+func shapeOf(res sim.Result) walkOut {
+	return walkOut{
+		LiteResult: sim.LiteResult{
+			Dst:           res.Dst,
+			Hops:          len(res.Path) - 1,
+			MaxHeaderBits: res.MaxHeaderBits,
+			Cost:          res.Cost,
+			Err:           res.Err,
 		},
-		runLite: func(src, dst int) sim.LiteResult {
-			return sim.RouteLite(g, r, src, addr(dst), maxHops)
-		},
-		runTraced: func(src, dst int, tr *trace.Trace) sim.Result {
-			return sim.RouteOnceTraced(g, r, src, addr(dst), maxHops, tr)
-		},
+		path: res.Path,
 	}
-	if ch == nil {
-		return rn
-	}
-	rn.chaos = func(src, dst int, id uint64) faultsim.Result {
-		return faultsim.Deliver(g, r, src, addr(dst), maxHops, ch.in, ch.rel, id)
-	}
-	rn.chaosTraced = func(src, dst int, id uint64, tr *trace.Trace) faultsim.Result {
-		return faultsim.DeliverTraced(g, r, src, addr(dst), maxHops, ch.in, ch.rel, id, tr)
-	}
-	return rn
 }
 
 func clamp(eps, hi float64) float64 {
@@ -342,7 +361,7 @@ func clamp(eps, hi float64) float64 {
 	return eps
 }
 
-// compileScheme builds one scheme and its adapter-backed runners.
+// compileScheme builds one scheme and its adapter-backed runner.
 func compileScheme(name string, g *graph.Graph, a metric.Distancer, eps float64, seed int64, ch *chaosRuntime) (*scheme, error) {
 	start := time.Now()
 	impl, err := buildScheme(name, g, a, eps, seed)
@@ -392,7 +411,7 @@ func buildScheme(name string, g *graph.Graph, a metric.Distancer, eps float64, s
 func finishScheme(name string, impl any, g *graph.Graph, ch *chaosRuntime, buildMillis float64) (*scheme, error) {
 	n := g.N()
 	var (
-		rn        runners
+		run       runner
 		kind      string
 		labelBits int
 		tableBits func(int) int
@@ -400,24 +419,24 @@ func finishScheme(name string, impl any, g *graph.Graph, ch *chaosRuntime, build
 	identity := func(v int) int { return v }
 	switch s := impl.(type) {
 	case *labeled.Simple:
-		rn = bind(g, sim.SimpleLabeledRouter{S: s}, s.LabelOf, 0, ch)
+		run = bind(g, sim.SimpleLabeledRouter{S: s}, s.LabelOf, 0, ch)
 		kind, labelBits, tableBits = "labeled", bits.UintBits(n), s.TableBits
 	case *labeled.ScaleFree:
-		rn = bind(g, sim.ScaleFreeLabeledRouter{S: s}, s.LabelOf, 64*n, ch)
+		run = bind(g, sim.ScaleFreeLabeledRouter{S: s}, s.LabelOf, 64*n, ch)
 		kind, labelBits, tableBits = "labeled", bits.UintBits(n), s.TableBits
 	case *nameind.Simple:
 		nm := s.Naming()
-		rn = bind(g, sim.NameIndependentRouter{S: s}, nm.NameOf, 256*n, ch)
+		run = bind(g, sim.NameIndependentRouter{S: s}, nm.NameOf, 256*n, ch)
 		kind, labelBits, tableBits = "name-independent", bits.UintBits(nm.MaxName()+1), s.TableBits
 	case *nameind.ScaleFree:
 		nm := s.Naming()
-		rn = bind(g, sim.ScaleFreeNameIndependentRouter{S: s}, nm.NameOf, 512*n, ch)
+		run = bind(g, sim.ScaleFreeNameIndependentRouter{S: s}, nm.NameOf, 512*n, ch)
 		kind, labelBits, tableBits = "name-independent", bits.UintBits(nm.MaxName()+1), s.TableBits
 	case *baseline.FullTable:
-		rn = bind(g, sim.FullTableRouter{S: s}, identity, 0, ch)
+		run = bind(g, sim.FullTableRouter{S: s}, identity, 0, ch)
 		kind, labelBits, tableBits = "baseline", bits.UintBits(n), s.TableBits
 	case *baseline.SingleTree:
-		rn = bind(g, sim.SingleTreeRouter{S: s}, identity, 0, ch)
+		run = bind(g, sim.SingleTreeRouter{S: s}, identity, 0, ch)
 		kind, labelBits, tableBits = "baseline", bits.UintBits(n), s.TableBits
 	default:
 		return nil, fmt.Errorf("scheme %q has unbindable implementation %T", name, impl)
@@ -433,12 +452,8 @@ func finishScheme(name string, impl any, g *graph.Graph, ch *chaosRuntime, build
 			TableTotal:    tb.TotalBits,
 			BuildMillis:   buildMillis,
 		},
-		impl:        impl,
-		run:         rn.run,
-		runLite:     rn.runLite,
-		runTraced:   rn.runTraced,
-		chaos:       rn.chaos,
-		chaosTraced: rn.chaosTraced,
+		impl: impl,
+		run:  run,
 	}, nil
 }
 
@@ -473,7 +488,7 @@ func (e *Engine) sampleTrace() bool {
 
 func (e *Engine) route(schemeName string, src, dst int, wantTrace bool) (RouteResult, error) {
 	st := e.st.Load()
-	s, ok := st.schemes[schemeName]
+	idx, ok := st.index[schemeName]
 	if !ok {
 		return RouteResult{}, fmt.Errorf("unknown scheme %q (have %v)", schemeName, st.order)
 	}
@@ -481,103 +496,94 @@ func (e *Engine) route(schemeName string, src, dst int, wantTrace bool) (RouteRe
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return RouteResult{}, fmt.Errorf("pair (%d, %d) out of range [0, %d)", src, dst, n)
 	}
-	sampled := e.sampleTrace()
-	if e.chaos != nil {
-		return e.routeChaos(st, s, schemeName, src, dst, wantTrace, sampled)
+	a, err := e.answer(st, idx, src, dst, true, wantTrace)
+	if err != nil {
+		return RouteResult{}, fmt.Errorf("route %d -> %d: %w", src, dst, err)
 	}
-	traced := wantTrace || sampled
-	if !traced {
-		if v, ok := e.cache.Get(schemeName, src, dst, st.gen); ok {
-			out := *v
-			out.Cached = true
-			return out, nil
-		}
-	}
-	var tr *trace.Trace
-	var res sim.Result
-	if traced {
-		tr = &trace.Trace{}
-		res = s.runTraced(src, dst, tr)
-	} else {
-		res = s.run(src, dst)
-	}
-	if res.Err != nil {
-		return RouteResult{}, fmt.Errorf("route %d -> %d: %w", src, dst, res.Err)
-	}
-	opt := st.nw.Dist(src, dst)
-	out := &RouteResult{
-		Scheme:        schemeName,
-		Src:           src,
-		Dst:           dst,
-		Path:          res.Path,
-		Hops:          len(res.Path) - 1,
-		Cost:          res.Cost,
-		Optimal:       opt,
-		Stretch:       stretch(res.Cost, opt),
-		MaxHeaderBits: res.MaxHeaderBits,
-	}
-	e.met.observeRoute(schemeName, out.Stretch, out.Hops, out.MaxHeaderBits)
-	if sampled {
-		e.met.observeTrace(tr)
-	}
-	// The cached entry never carries a trace: cached results are shared
-	// between responses, and a trace belongs to the query that asked.
-	e.cache.Put(schemeName, src, dst, st.gen, out)
-	ret := *out
-	if wantTrace {
-		ret.Trace = tr.ToWire(opt, e.traceHopCap)
-	}
-	return ret, nil
-}
-
-// routeChaos serves one query through the fault injector. Chaos routes
-// bypass the cache entirely: every query draws its own faults (a fresh
-// delivery id), so two queries for the same pair legitimately differ in
-// attempts, drops, and even outcome.
-func (e *Engine) routeChaos(st *state, s *scheme, schemeName string, src, dst int, wantTrace, sampled bool) (RouteResult, error) {
-	id := e.chaos.seq.Add(1)
-	var tr *trace.Trace
-	var res faultsim.Result
-	if wantTrace || sampled {
-		tr = &trace.Trace{}
-		res = s.chaosTraced(src, dst, id, tr)
-	} else {
-		res = s.chaos(src, dst, id)
-	}
-	e.met.chaosDrops.Add(uint64(res.Drops))
-	if res.Attempts > 1 {
-		e.met.chaosRetries.Add(uint64(res.Attempts - 1))
-	}
-	if !res.Delivered {
-		e.met.chaosFailed.Add(1)
-		if res.Sim.Err != nil {
-			return RouteResult{}, fmt.Errorf("route %d -> %d: %w", src, dst, res.Sim.Err)
-		}
-		return RouteResult{}, fmt.Errorf("route %d -> %d: delivery failed after %d attempts (%d packets dropped)",
-			src, dst, res.Attempts, res.Drops)
-	}
-	opt := st.nw.Dist(src, dst)
 	out := RouteResult{
 		Scheme:        schemeName,
 		Src:           src,
 		Dst:           dst,
-		Path:          res.Sim.Path,
-		Hops:          len(res.Sim.Path) - 1,
-		Cost:          res.Sim.Cost,
-		Optimal:       opt,
-		Stretch:       stretch(res.Sim.Cost, opt),
-		MaxHeaderBits: res.Sim.MaxHeaderBits,
-		Attempts:      res.Attempts,
-		Drops:         res.Drops,
-	}
-	e.met.observeRoute(schemeName, out.Stretch, out.Hops, out.MaxHeaderBits)
-	if sampled {
-		e.met.observeTrace(tr)
+		Path:          a.path,
+		Hops:          int(a.hops),
+		Cost:          a.cost,
+		Optimal:       a.optimal,
+		Stretch:       stretch(a.cost, a.optimal),
+		MaxHeaderBits: int(a.maxHeaderBits),
+		Cached:        a.cached,
+		Attempts:      a.attempts,
+		Drops:         a.drops,
 	}
 	if wantTrace {
-		out.Trace = tr.ToWire(opt, e.traceHopCap)
+		out.Trace = a.tr.ToWire(a.optimal, e.traceHopCap)
 	}
 	return out, nil
+}
+
+// answered is one query's answer: the route, whether the cache served
+// it, the trace when the walk was traced, and the reliability layer's
+// work under fault injection.
+type answered struct {
+	route
+	cached          bool
+	tr              *trace.Trace
+	attempts, drops int
+}
+
+// answer serves one query on scheme idx for both planes: from the
+// cache when the slot holds what the query needs (the path, for
+// needPath), otherwise by one walk whose result refills the slot. A
+// traced query (asked for, or picked by the 1-in-N sampler) bypasses
+// the cache read but still feeds the cache; a chaos query bypasses the
+// cache entirely, since every query draws its own faults (a fresh
+// delivery id), so two queries for the same pair legitimately differ
+// in attempts, drops and even outcome. An untraced, fault-free answer
+// allocates only what its walk records: nothing for the frame plane,
+// the path for HTTP.
+func (e *Engine) answer(st *state, idx, src, dst int, needPath, wantTrace bool) (answered, error) {
+	sampled := e.sampleTrace()
+	spec := walkSpec{path: needPath}
+	if wantTrace || sampled {
+		//determinlint:allow hotpath traced queries allocate their hop log: tracing is off in the pinned zero-alloc configuration
+		spec.tr = &trace.Trace{}
+	}
+	if e.chaos != nil {
+		spec.chaos = e.chaos.seq.Add(1)
+	} else if spec.tr == nil {
+		if v, ok := e.cache.get(idx, src, dst, st.gen, needPath); ok {
+			return answered{route: v, cached: true}, nil
+		}
+	}
+	s := st.list[idx]
+	out := s.run(src, dst, spec)
+	if e.chaos != nil {
+		e.met.observeChaos(out.attempts, out.drops, out.Err != nil)
+	}
+	if out.Err != nil {
+		return answered{}, out.Err
+	}
+	a := answered{
+		route: route{
+			hops:          int32(out.Hops),
+			maxHeaderBits: int32(out.MaxHeaderBits),
+			cost:          out.Cost,
+			optimal:       st.nw.Dist(src, dst),
+			path:          out.path,
+		},
+		tr:       spec.tr,
+		attempts: out.attempts,
+		drops:    out.drops,
+	}
+	e.met.observeRoute(s.info.Name, stretch(a.cost, a.optimal), out.Hops, out.MaxHeaderBits)
+	if sampled {
+		e.met.observeTrace(spec.tr)
+	}
+	// The cache never holds a trace: cached routes are shared between
+	// responses, and a trace belongs to the query that asked.
+	if e.chaos == nil {
+		e.cache.put(idx, src, dst, st.gen, a.route)
+	}
+	return a, nil
 }
 
 func stretch(cost, opt float64) float64 {
@@ -653,8 +659,8 @@ func (e *Engine) RouteBatch(schemeName string, pairs [][2]int) ([]RouteResult, B
 // scheme and atomically swaps the serving state. The new state carries
 // a new generation, which invalidates every cached route: cache keys
 // include the generation, so entries computed against the old graph
-// are unreachable and age out under LRU pressure. In-flight queries
-// finish against the old state.
+// are unreachable and are overwritten as new routes land in their
+// slots. In-flight queries finish against the old state.
 func (e *Engine) Reload(seed int64) error {
 	e.reload.Lock()
 	defer e.reload.Unlock()
@@ -684,9 +690,9 @@ func (e *Engine) Graph() GraphInfo {
 // Schemes lists the compiled schemes' accounting in compile order.
 func (e *Engine) Schemes() []SchemeInfo {
 	st := e.st.Load()
-	out := make([]SchemeInfo, 0, len(st.order))
-	for _, name := range st.order {
-		out = append(out, st.schemes[name].info)
+	out := make([]SchemeInfo, 0, len(st.list))
+	for _, s := range st.list {
+		out = append(out, s.info)
 	}
 	return out
 }
@@ -694,7 +700,7 @@ func (e *Engine) Schemes() []SchemeInfo {
 // Metrics snapshots the live counters.
 func (e *Engine) Metrics() MetricsSnapshot {
 	st := e.st.Load()
-	snap := e.met.snapshot(e.cache, e.lite)
+	snap := e.met.snapshot(e.cache)
 	if e.chaos != nil {
 		snap.Chaos.Enabled = true
 		snap.Chaos.Loss = e.chaos.in.Plan().Loss

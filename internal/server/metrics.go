@@ -249,7 +249,8 @@ type TCPSnapshot struct {
 	FrameLatency HistogramSnapshot `json:"frame_latency"`
 }
 
-// CacheSnapshot reports the route cache counters.
+// CacheSnapshot reports the route cache counters. Both serving planes
+// read the one cache, so HitRate is Hits/(Hits+Misses) over both.
 type CacheSnapshot struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
@@ -296,10 +297,20 @@ func (m *metrics) observeTrace(t *trace.Trace) {
 	}
 }
 
-func (m *metrics) snapshot(c *routeCache, lite *liteCache) MetricsSnapshot {
-	hits, misses, evicted, size := c.Stats()
-	lh, lm := lite.stats()
-	cs := CacheSnapshot{Hits: hits + lh, Misses: misses + lm, Evicted: evicted, Size: size}
+// observeChaos records one fault-injected delivery's reliability work.
+func (m *metrics) observeChaos(attempts, drops int, failed bool) {
+	m.chaosDrops.Add(uint64(drops))
+	if attempts > 1 {
+		m.chaosRetries.Add(uint64(attempts - 1))
+	}
+	if failed {
+		m.chaosFailed.Add(1)
+	}
+}
+
+func (m *metrics) snapshot(c *routeCache) MetricsSnapshot {
+	hits, misses, evicted, size := c.stats()
+	cs := CacheSnapshot{Hits: hits, Misses: misses, Evicted: evicted, Size: size}
 	if total := hits + misses; total > 0 {
 		cs.HitRate = float64(hits) / float64(total)
 	}

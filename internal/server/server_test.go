@@ -135,6 +135,9 @@ func TestCacheHitSecondQuery(t *testing.T) {
 	}
 }
 
+// TestLRUEvictionBoundsEntries pins the route cache's bound through the
+// engine: overfilling it keeps at most CacheEntries routes resident and
+// counts the evictions.
 func TestLRUEvictionBoundsEntries(t *testing.T) {
 	const capEntries = 16
 	eng := newTestEngine(t, []string{"full-table"}, capEntries)
@@ -364,11 +367,11 @@ func TestHammerConcurrentClients(t *testing.T) {
 }
 
 func TestCacheGetPutSameKeyRace(t *testing.T) {
-	// Put overwrites an existing entry's val in place under the shard
-	// lock; Get must read it under the same lock. Regression for a race
-	// on hot keys flagged by -race.
+	// put overwrites a slot's value in place under the slot lock; get
+	// must read it under the same lock. Regression for a race on hot
+	// keys flagged by -race.
 	c := newRouteCache(64)
-	c.Put("s", 1, 2, 0, &RouteResult{Hops: 1})
+	c.put(0, 1, 2, 0, route{hops: 1, path: []int{1, 2}})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -382,8 +385,8 @@ func TestCacheGetPutSameKeyRace(t *testing.T) {
 				default:
 				}
 				if w%2 == 0 {
-					c.Put("s", 1, 2, 0, &RouteResult{Hops: i})
-				} else if v, ok := c.Get("s", 1, 2, 0); !ok || v == nil {
+					c.put(0, 1, 2, 0, route{hops: int32(i), path: []int{1, 2}})
+				} else if v, ok := c.get(0, 1, 2, 0, true); !ok || v.path == nil {
 					t.Error("hot key vanished")
 					return
 				}
@@ -396,15 +399,15 @@ func TestCacheGetPutSameKeyRace(t *testing.T) {
 }
 
 func TestSmallCacheCapacityBound(t *testing.T) {
-	// Capacities below the shard count must still bound total entries
-	// at the configured capacity (fewer shards, not a rounded-up cap).
+	// Small capacities must still bound total entries at the configured
+	// capacity: the slot count rounds down to a power of two, never up.
 	for _, capEntries := range []int{1, 2, 3, 5, 15} {
 		c := newRouteCache(capEntries)
 		for i := 0; i < 20*capEntries; i++ {
-			c.Put("s", i, i+1, 0, &RouteResult{Hops: i})
+			c.put(0, i, i+1, 0, route{hops: int32(i)})
 		}
-		if got := c.Len(); got > capEntries {
-			t.Errorf("capacity %d: cache holds %d entries", capEntries, got)
+		if _, _, evicted, size := c.stats(); size > capEntries || evicted == 0 {
+			t.Errorf("capacity %d: cache holds %d entries after %d evictions", capEntries, size, evicted)
 		}
 	}
 }

@@ -7,10 +7,7 @@ import (
 
 	"compactrouting/internal/baseline"
 	"compactrouting/internal/core"
-	"compactrouting/internal/graph"
 	"compactrouting/internal/labeled"
-	"compactrouting/internal/metric"
-	"compactrouting/internal/nameind"
 )
 
 // TestRunLeaksNoGoroutines regression-tests the detached forward
@@ -47,118 +44,6 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// TestHopBudgetBoundaryAligned pins the shared hop-budget semantics of
-// RouteOnce and Run with one table: a walk of exactly maxHops hops
-// (plus the free arrival step) delivers; one more hop fails, in both
-// drivers, with the identical HopLimitError.
-func TestHopBudgetBoundaryAligned(t *testing.T) {
-	g, err := graph.Path(9, 1) // 0-1-...-8, route 0->k takes exactly k hops
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := baseline.NewFullTable(g, metric.NewAPSP(g))
-	r := FullTableRouter{S: s}
-	cases := []struct {
-		dst, maxHops int
-		ok           bool
-	}{
-		{1, 1, true},
-		{4, 4, true},
-		{4, 3, false},
-		{8, 8, true},
-		{8, 7, false},
-		{8, 1, false},
-	}
-	for _, c := range cases {
-		once := RouteOnce[baseline.Destination](g, r, 0, c.dst, c.maxHops)
-		run := Run[baseline.Destination](g, r, []Delivery{{Src: 0, Dst: c.dst}}, c.maxHops)[0]
-		if (once.Err == nil) != c.ok {
-			t.Errorf("RouteOnce 0->%d maxHops=%d: err=%v, want ok=%v", c.dst, c.maxHops, once.Err, c.ok)
-		}
-		if (run.Err == nil) != c.ok {
-			t.Errorf("Run 0->%d maxHops=%d: err=%v, want ok=%v", c.dst, c.maxHops, run.Err, c.ok)
-		}
-		if !c.ok {
-			want := HopLimitError(c.maxHops).Error()
-			if once.Err.Error() != want || run.Err.Error() != want {
-				t.Errorf("0->%d maxHops=%d: errors diverge: RouteOnce %q, Run %q, want %q",
-					c.dst, c.maxHops, once.Err, run.Err, want)
-			}
-		}
-		if c.ok {
-			if len(once.Path)-1 != c.dst || len(run.Path)-1 != c.dst {
-				t.Errorf("0->%d: hop counts %d / %d, want %d", c.dst, len(once.Path)-1, len(run.Path)-1, c.dst)
-			}
-		}
-	}
-}
-
-// TestRunPrepareErrorsAllAdapters exercises Prepare-error propagation
-// through the concurrent Run for every adapter family (only RouteOnce's
-// path was covered before), and checks the failed delivery is reported
-// exactly like RouteOnce reports it: Err set, no walk.
-func TestRunPrepareErrorsAllAdapters(t *testing.T) {
-	g, a := fixtures(t, 50, 23)
-	sl, err := labeled.NewSimple(g, a, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := labeled.NewScaleFree(g, a, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm := nameind.RandomNaming(g.N(), 24)
-	ni, err := nameind.NewSimple(g, a, nm, sl, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := baseline.NewSingleTree(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := baseline.NewFullTable(g, a)
-
-	check := func(name string, run func(bad, good int) [2]Result, bad, good int) {
-		t.Helper()
-		res := run(bad, good)
-		if res[0].Err == nil {
-			t.Errorf("%s: Prepare(%d) error did not propagate through Run", name, bad)
-		}
-		if res[0].Path != nil || res[0].Dst != 0 || res[0].Cost != 0 {
-			t.Errorf("%s: failed delivery carries a walk: %+v", name, res[0])
-		}
-		if res[1].Err != nil {
-			t.Errorf("%s: good delivery failed: %v", name, res[1].Err)
-		}
-	}
-
-	check("full-table", func(bad, good int) [2]Result {
-		r := Run[baseline.Destination](g, FullTableRouter{S: ft},
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
-		return [2]Result{r[0], r[1]}
-	}, -5, 1)
-	check("single-tree", func(bad, good int) [2]Result {
-		r := Run[baseline.TreeHeader](g, SingleTreeRouter{S: st},
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
-		return [2]Result{r[0], r[1]}
-	}, g.N()+3, 1)
-	check("simple-labeled", func(bad, good int) [2]Result {
-		r := Run[labeled.SimpleHeader](g, SimpleLabeledRouter{S: sl},
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 0)
-		return [2]Result{r[0], r[1]}
-	}, -1, sl.LabelOf(1))
-	check("scale-free-labeled", func(bad, good int) [2]Result {
-		r := Run[labeled.SFHeader](g, ScaleFreeLabeledRouter{S: sf},
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 64*g.N())
-		return [2]Result{r[0], r[1]}
-	}, -2, sf.LabelOf(1))
-	check("name-independent", func(bad, good int) [2]Result {
-		r := Run[nameind.NIHeader](g, NameIndependentRouter{S: ni},
-			[]Delivery{{Src: 0, Dst: bad}, {Src: 0, Dst: good}}, 256*g.N())
-		return [2]Result{r[0], r[1]}
-	}, -7, nm.NameOf(1))
 }
 
 // TestMaxHeaderBitsMonotone replays multi-hop deliveries hop by hop and

@@ -18,7 +18,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 
 	"compactrouting/internal/graph"
@@ -65,19 +64,6 @@ type Result struct {
 	Err error
 }
 
-// packet is an in-flight message. tr, when non-nil, is the packet's
-// trace; exactly one goroutine holds the packet (and hence the trace)
-// at a time, and mailbox sends order the hand-offs, so the trace needs
-// no lock.
-type packet[H Header] struct {
-	id     int
-	header H
-	path   []int
-	cost   float64
-	maxHdr int
-	tr     *trace.Trace
-}
-
 // PhaseOf classifies a header for the trace layer; headers that do not
 // implement trace.Phased record as PhaseDirect. The interface
 // conversion boxes the header, so callers must only reach this on
@@ -95,21 +81,12 @@ type Delivery struct {
 	Src, Dst int
 }
 
-// HopLimitError is the error a delivery fails with when its walk would
-// exceed the hop budget. RouteOnce, Run and internal/faultsim all use
-// it, so the budget semantics are pinned in one place: a walk may take
-// at most maxHops hops (the arrival step at the final node is free),
-// and the packet fails when a further forward would be hop maxHops+1.
-func HopLimitError(maxHops int) error {
-	return fmt.Errorf("sim: packet exceeded hop budget %d", maxHops)
-}
-
-// RouteOnce drives one delivery through the router's step function
-// sequentially: Prepare, then Step until arrival, validating every hop
-// against the graph. It is the cheap per-query path used by serving
-// layers (internal/server), while Run is the goroutine-per-node
-// distributed check. Both execute the exact same step functions, so a
-// route agreed on by the two is a pure function of (tables, header).
+// RouteOnce drives one delivery through Walk sequentially, recording
+// the path. It is the path-carrying per-query route of the serving
+// layer (internal/server), while Run is the goroutine-per-node
+// distributed check. Both execute the exact same step functions
+// through the same hop function, so a route agreed on by the two is a
+// pure function of (tables, header).
 //
 // dst is a label or a name, matching the Router. maxHops <= 0 selects
 // the same default as Run.
@@ -120,117 +97,63 @@ func RouteOnce[H Header](g *graph.Graph, r Router[H], src, dst, maxHops int) Res
 // RouteOnceTraced is RouteOnce with an optional trace: when tr is
 // non-nil it is reset (Trace.Begin) and filled with one hop record per
 // forward, classified via trace.Phased. A nil tr takes the exact
-// RouteOnce path — every trace instruction is behind a nil check, so
-// disabled tracing adds no work and no allocations to the hot loop
-// (pinned by TestRouteOnceTracingDisabledAllocs).
+// RouteOnce path — the Recorder checks the trace for nil before every
+// trace instruction, so disabled tracing adds no work and no
+// allocations to the walk (pinned by TestRouteOnceTracingDisabledAllocs).
 //
 // The trace is a pure function of (tables, src, dst): hop distances
 // are accumulated in walk order, so trace.Cost() is bit-identical to
 // Result.Cost, and re-running the same delivery yields byte-identical
 // Marshal output.
 func RouteOnceTraced[H Header](g *graph.Graph, r Router[H], src, dst, maxHops int, tr *trace.Trace) Result {
-	if maxHops <= 0 {
-		maxHops = 8 * g.N()
-	}
-	res := Result{Src: src}
-	h, err := r.Prepare(dst)
-	if err != nil {
-		if tr != nil {
-			tr.Begin(int32(src), 0)
-		}
-		res.Err = err
-		return res
-	}
-	res.Path = []int{src}
-	res.MaxHeaderBits = h.Bits()
-	if tr != nil {
-		tr.Begin(int32(src), int32(res.MaxHeaderBits))
-	}
-	at := src
-	for {
-		next, nh, arrived, err := r.Step(at, h)
-		if err != nil {
-			res.Err = fmt.Errorf("sim: step at %d: %w", at, err)
-			return res
-		}
-		if arrived {
-			res.Dst = at
-			if tr != nil {
-				tr.Dst = int32(at)
-			}
-			return res
-		}
-		if len(res.Path) > maxHops {
-			res.Err = HopLimitError(maxHops)
-			return res
-		}
-		w, ok := g.EdgeWeight(at, next)
-		if !ok {
-			res.Err = fmt.Errorf("sim: step at %d forwarded to non-neighbor %d", at, next)
-			return res
-		}
-		b := nh.Bits()
-		if b > res.MaxHeaderBits {
-			res.MaxHeaderBits = b
-		}
-		if tr != nil {
-			tr.Hops = append(tr.Hops, trace.Hop{
-				From:       int32(at),
-				To:         int32(next),
-				Phase:      PhaseOf(nh),
-				HeaderBits: int32(b),
-				Dist:       w,
-			})
-		}
-		h = nh
-		res.Path = append(res.Path, next)
-		res.Cost += w
-		at = next
-	}
+	rec := NewRecorder[H](src, tr)
+	lr := Walk[H](g, r, src, dst, maxHops, &rec)
+	return rec.Result(lr, lr.Err == nil)
 }
 
 // Run executes the deliveries concurrently over the graph: one
 // goroutine per node, one message per packet hop. It blocks until all
 // packets arrive or fail, and returns results indexed like deliveries.
 //
-// Packets that exceed maxHops (pass <= 0 for 4·n·log n-ish default)
-// fail rather than loop forever.
+// Packets that exceed maxHops (pass <= 0 for the 8n default) fail
+// rather than loop forever.
 func Run[H Header](g *graph.Graph, r Router[H], deliveries []Delivery, maxHops int) []Result {
 	return RunTraced(g, r, deliveries, maxHops, nil)
+}
+
+// packet is an in-flight message: one delivery's walk state and its
+// Recorder. Exactly one goroutine holds a packet (and hence its trace)
+// at a time, and mailbox sends order the hand-offs, so neither needs a
+// lock.
+type packet[H Header] struct {
+	id  int
+	w   walk[H]
+	rec Recorder[H]
 }
 
 // RunTraced is Run with optional per-delivery traces: traces may be
 // nil (no tracing) or len(deliveries) long, with nil entries for
 // deliveries that should not be traced. A packet's trace travels with
-// the packet — exactly one node goroutine holds it at a time, and the
-// mailbox sends order the hand-offs — so traced concurrent runs stay
-// race-free and produce the same bytes as RouteOnceTraced.
+// the packet, so traced concurrent runs stay race-free and produce the
+// same bytes as RouteOnceTraced: every node goroutine advances the
+// packets it receives with the same hop function Walk loops over.
 func RunTraced[H Header](g *graph.Graph, r Router[H], deliveries []Delivery, maxHops int, traces []*trace.Trace) []Result {
 	n := g.N()
-	if maxHops <= 0 {
-		maxHops = 8 * n
-	}
+	maxHops = hopBudget(g, maxHops)
 	results := make([]Result, len(deliveries))
-	inbox := make([]chan packet[H], n)
+	inbox := make([]chan *packet[H], n)
 	for i := range inbox {
-		inbox[i] = make(chan packet[H], 8)
+		// A few packets of slack per node; forward detaches any send
+		// that would block on a full mailbox.
+		inbox[i] = make(chan *packet[H], 8)
 	}
 	var wg sync.WaitGroup // outstanding packets
 	var nodeWG sync.WaitGroup
 	done := make(chan struct{})
 
-	finish := func(id int, p packet[H], err error) {
-		res := &results[id]
-		res.Path = p.path
-		res.Cost = p.cost
-		res.MaxHeaderBits = p.maxHdr
-		res.Err = err
-		if err == nil {
-			res.Dst = p.path[len(p.path)-1]
-			if p.tr != nil {
-				p.tr.Dst = int32(res.Dst)
-			}
-		}
+	finish := func(p *packet[H], err error) {
+		p.w.res.Err = err
+		results[p.id] = p.rec.Result(p.w.res, err == nil)
 		wg.Done()
 	}
 
@@ -239,8 +162,7 @@ func RunTraced[H Header](g *graph.Graph, r Router[H], deliveries []Delivery, max
 	// when many packets converge on one node). The detached send must
 	// also select on done: a bare `inbox[to] <- p` blocks forever if the
 	// run winds down while the mailbox is full, leaking the goroutine.
-	var forward func(to int, p packet[H])
-	forward = func(to int, p packet[H]) {
+	forward := func(to int, p *packet[H]) {
 		select {
 		case inbox[to] <- p:
 		default:
@@ -260,41 +182,11 @@ func RunTraced[H Header](g *graph.Graph, r Router[H], deliveries []Delivery, max
 			case <-done:
 				return
 			case p := <-inbox[self]:
-				next, nh, arrived, err := r.Step(self, p.header)
-				if err != nil {
-					finish(p.id, p, fmt.Errorf("sim: step at %d: %w", self, err))
-					continue
+				if more, err := p.w.hop(g, r, maxHops, &p.rec); more {
+					forward(p.w.at, p)
+				} else {
+					finish(p, err)
 				}
-				if arrived {
-					finish(p.id, p, nil)
-					continue
-				}
-				if len(p.path) > maxHops {
-					finish(p.id, p, HopLimitError(maxHops))
-					continue
-				}
-				w, ok := g.EdgeWeight(self, next)
-				if !ok {
-					finish(p.id, p, fmt.Errorf("sim: step at %d forwarded to non-neighbor %d", self, next))
-					continue
-				}
-				b := nh.Bits()
-				if b > p.maxHdr {
-					p.maxHdr = b
-				}
-				if p.tr != nil {
-					p.tr.Hops = append(p.tr.Hops, trace.Hop{
-						From:       int32(self),
-						To:         int32(next),
-						Phase:      PhaseOf(nh),
-						HeaderBits: int32(b),
-						Dist:       w,
-					})
-				}
-				p.header = nh
-				p.path = append(p.path, next)
-				p.cost += w
-				forward(next, p)
 			}
 		}
 	}
@@ -309,21 +201,14 @@ func RunTraced[H Header](g *graph.Graph, r Router[H], deliveries []Delivery, max
 		if traces != nil {
 			tr = traces[id]
 		}
-		h, err := r.Prepare(d.Dst)
-		if err != nil {
-			if tr != nil {
-				tr.Begin(int32(d.Src), 0)
-			}
-			results[id] = Result{Src: d.Src, Err: err}
-			wg.Done()
-			continue
+		p := &packet[H]{id: id, rec: NewRecorder[H](d.Src, tr)}
+		var more bool
+		var err error
+		if p.w, more, err = begin(r, d.Src, d.Dst, &p.rec); more {
+			forward(d.Src, p)
+		} else {
+			finish(p, err)
 		}
-		results[id].Src = d.Src
-		p := packet[H]{id: id, header: h, path: []int{d.Src}, maxHdr: h.Bits(), tr: tr}
-		if tr != nil {
-			tr.Begin(int32(d.Src), int32(p.maxHdr))
-		}
-		forward(d.Src, p)
 	}
 	wg.Wait()
 	close(done)
