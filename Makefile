@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint fuzz-corpus-lint bench serve profile chaos-determinism routebench-determinism routebench-lazy-determinism distsim-determinism routeload-determinism fuzz-smoke perfbench-check
+.PHONY: check fmt vet build test race lint fuzz-corpus-lint bench gobench serve profile chaos-determinism routebench-determinism routebench-lazy-determinism distsim-determinism routeload-determinism fuzz-smoke perfbench-check
 
 # The gate: vet, build and -race cover every package (./...), including
 # internal/faultsim and cmd/chaossim; lint runs the repo's own static
@@ -64,12 +64,28 @@ fuzz-corpus-lint:
 perfbench-check:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test -race ./...
 
-# Machine-readable benchmark sweeps (write BENCH_*.json).
+# Machine-readable benchmark sweeps (write BENCH_*.json), then the Go
+# benchmark baseline (BENCH_gobench.txt).
 bench:
 	$(GO) run ./cmd/routebench -json BENCH_routebench.json
 	$(GO) run ./cmd/chaossim -json BENCH_chaossim.json
 	$(GO) run ./cmd/distsim -json BENCH_distsim.json
 	$(GO) run ./cmd/routeload -json -duration 3s -conns 4 -batch 16 > BENCH_routeload.json
+	$(MAKE) --no-print-directory gobench
+
+# Go's own benchmarks for each codec layer (the bit stream, the frame
+# request and response) and the serving engine, with allocation
+# counts, five runs each. BENCH_gobench.txt is headed by the hardware
+# context, so two trees' files compare with benchstat (or by eye) only
+# when the headers match. Wall time is informational, never gated.
+GOBENCH = -run '^$$' -benchmem -count 5 -bench
+gobench:
+	@{ echo "# nproc: $$(nproc)"; \
+	   echo "# GOMAXPROCS: $${GOMAXPROCS:-$$(nproc)}"; \
+	   echo "# $$($(GO) version)"; } > BENCH_gobench.txt
+	$(GO) test $(GOBENCH) '^Benchmark(WriteBits|ReadBits|UvarintRoundTrip)$$' ./internal/bits >> BENCH_gobench.txt
+	$(GO) test $(GOBENCH) '^BenchmarkRoute(Response|Request)(Encode|DecodeInto)$$' ./internal/frame >> BENCH_gobench.txt
+	$(GO) test $(GOBENCH) '^BenchmarkServerRoute(Cached|Uncached)$$' ./internal/server >> BENCH_gobench.txt
 
 # chaossim must be seed-deterministic: the same seed produces a
 # byte-identical JSON sweep. Run a small sweep twice and diff.
@@ -143,7 +159,8 @@ fuzz-smoke:
 		"./internal/dist FuzzDecodeMsg" \
 		"./internal/frame FuzzDecodeFrame" \
 		"./internal/snapshot FuzzDecodeSnapshot" \
-		"./internal/metric FuzzLazyBall"; do \
+		"./internal/metric FuzzLazyBall" \
+		"./internal/bits FuzzBitStream"; do \
 		set -- $$spec; \
 		$(GO) test $$1 -run '^$$' -fuzz "^$$2$$$$" -fuzztime 1s >/dev/null || \
 			{ echo "fuzz-smoke failed: $$2"; exit 1; }; \

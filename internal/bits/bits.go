@@ -10,6 +10,7 @@
 package bits
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -45,26 +46,53 @@ func (w *Writer) WriteBit(b bool) {
 }
 
 // WriteBits appends the low n bits of v, most significant first.
-// n must be in [0, 64].
+// n must be in [0, 64]. It fills the partial last byte, then appends
+// the rest as one left-aligned word, zero-padded to a byte.
 func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("bits: WriteBits width %d out of range", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBit(v>>uint(i)&1 == 1)
+	if n == 0 {
+		return
 	}
+	v &= 1<<uint(n) - 1 // shifts of 64 give 0, so n=64 keeps every bit
+	w.nbit += n
+	if used := uint(w.nbit-n) % 8; used != 0 {
+		free := 8 - int(used)
+		if n <= free {
+			w.buf[len(w.buf)-1] |= byte(v << uint(free-n))
+			return
+		}
+		n -= free
+		w.buf[len(w.buf)-1] |= byte(v >> uint(n))
+	}
+	// The n bits left start a fresh byte: append them left-aligned in
+	// one big-endian word, then cut the stream back to their bytes.
+	end := len(w.buf) + (n+7)/8
+	w.buf = binary.BigEndian.AppendUint64(w.buf, v<<uint(64-n))[:end]
 }
 
 // WriteUvarint appends v using a 7-bit-group varint (8 bits per group,
 // continuation bit first). It always writes a multiple of 8 bits.
 func (w *Writer) WriteUvarint(v uint64) {
 	for v >= 0x80 {
-		w.WriteBits(1, 1)
-		w.WriteBits(v&0x7f, 7)
+		w.writeByte(0x80 | byte(v&0x7f))
 		v >>= 7
 	}
-	w.WriteBits(0, 1)
-	w.WriteBits(v, 7)
+	w.writeByte(byte(v))
+}
+
+// writeByte is WriteBits(uint64(b), 8): b's bits end the partial byte
+// and start the next one.
+func (w *Writer) writeByte(b byte) {
+	used := w.nbit % 8
+	w.nbit += 8
+	if used == 0 {
+		w.buf = append(w.buf, b)
+		return
+	}
+	w.buf[len(w.buf)-1] |= b >> uint(used)
+	w.buf = append(w.buf, b<<uint(8-used))
 }
 
 // WriteGamma appends v >= 1 in Elias gamma code: floor(log2 v) zero bits,
@@ -77,9 +105,11 @@ func (w *Writer) WriteGamma(v uint64) {
 		panic("bits: WriteGamma requires v >= 1")
 	}
 	n := bits.Len64(v) // position of the highest set bit, 1-based
-	for i := 0; i < n-1; i++ {
-		w.WriteBit(false)
+	if 2*n-1 <= 64 {
+		w.WriteBits(v, 2*n-1) // the zero run is v's own leading zeros
+		return
 	}
+	w.WriteBits(0, n-1)
 	w.WriteBits(v, n)
 }
 
@@ -109,23 +139,38 @@ func (r *Reader) ReadBit() (bool, error) {
 }
 
 // ReadBits consumes n bits and returns them as the low bits of a uint64,
-// most significant first. n must be in [0, 64].
+// most significant first. n must be in [0, 64]. A read of more bits
+// than remain consumes the rest of the stream and returns ErrOutOfData.
 func (r *Reader) ReadBits(n int) (uint64, error) {
 	if n < 0 || n > 64 {
 		return 0, fmt.Errorf("bits: ReadBits width %d out of range", n)
 	}
-	var v uint64
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if b {
-			v |= 1
+	if n > r.nbit-r.pos {
+		r.pos = r.nbit
+		return 0, ErrOutOfData
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	// Load the (up to) 8 bytes from the one holding pos, shift the
+	// consumed bits out, and top up from a 9th byte when the n bits
+	// straddle it.
+	i := r.pos / 8
+	used := uint(r.pos % 8)
+	r.pos += n
+	var x uint64
+	if i+8 <= len(r.buf) {
+		x = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		for k, b := range r.buf[i:] {
+			x |= uint64(b) << uint(56-8*k)
 		}
 	}
-	return v, nil
+	x <<= used
+	if n > 64-int(used) {
+		x |= uint64(r.buf[i+8]) >> (8 - used)
+	}
+	return x >> uint(64-n), nil
 }
 
 // ReadUvarint consumes a varint written by WriteUvarint.
@@ -135,37 +180,62 @@ func (r *Reader) ReadUvarint() (uint64, error) {
 		if shift > 63 {
 			return 0, errors.New("bits: uvarint overflows uint64")
 		}
-		cont, err := r.ReadBit()
+		grp, err := r.readByte()
 		if err != nil {
 			return 0, err
 		}
-		grp, err := r.ReadBits(7)
-		if err != nil {
-			return 0, err
-		}
-		v |= grp << shift
-		if !cont {
+		v |= uint64(grp&0x7f) << shift
+		if grp&0x80 == 0 {
 			return v, nil
 		}
 	}
 }
 
-// ReadGamma consumes an Elias gamma code written by WriteGamma.
+// readByte is ReadBits(8): the 8 bits from pos span at most two bytes.
+func (r *Reader) readByte() (byte, error) {
+	if r.nbit-r.pos < 8 {
+		r.pos = r.nbit
+		return 0, ErrOutOfData
+	}
+	i, used := r.pos/8, uint(r.pos%8)
+	r.pos += 8
+	if used == 0 {
+		return r.buf[i], nil
+	}
+	return r.buf[i]<<used | r.buf[i+1]>>(8-used), nil
+}
+
+// ReadGamma consumes an Elias gamma code written by WriteGamma. The
+// zero run is counted a byte at a time; a run of 64 zeros is rejected
+// after consuming exactly those 64 bits.
 func (r *Reader) ReadGamma() (uint64, error) {
-	zeros := 0
+	start := r.pos
 	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+		if r.pos >= r.nbit {
+			return 0, ErrOutOfData
 		}
-		if b {
-			break
+		used := uint(r.pos % 8)
+		avail := 8 - int(used)
+		if rem := r.nbit - r.pos; rem < avail {
+			avail = rem
 		}
-		zeros++
-		if zeros > 63 {
+		// The unread bits of this byte, shifted to the top, cut to avail.
+		b := r.buf[r.pos/8] << used & (0xff << uint(8-avail))
+		lz := avail
+		if b != 0 {
+			lz = bits.LeadingZeros8(b)
+		}
+		if r.pos+lz-start > 63 {
+			r.pos = start + 64
 			return 0, errors.New("bits: gamma code too long")
 		}
+		r.pos += lz
+		if b != 0 {
+			r.pos++ // the terminating 1 bit
+			break
+		}
 	}
+	zeros := r.pos - start - 1
 	rest, err := r.ReadBits(zeros)
 	if err != nil {
 		return 0, err

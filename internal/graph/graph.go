@@ -168,40 +168,6 @@ func (g *Graph) connected() bool {
 	return count == g.N()
 }
 
-// InducedSubgraph returns the subgraph induced by keep (a node subset),
-// relabeled to dense ids in the order keep lists them, together with the
-// old-id slice indexed by new id. It fails if the induced subgraph is
-// disconnected.
-func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int, error) {
-	newID := make(map[int]int, len(keep))
-	for i, v := range keep {
-		if v < 0 || v >= g.N() {
-			return nil, nil, fmt.Errorf("graph: node %d out of range", v)
-		}
-		if _, dup := newID[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate node %d in keep set", v)
-		}
-		newID[v] = i
-	}
-	b := NewBuilder(len(keep))
-	for _, v := range keep {
-		for _, e := range g.adj[v] {
-			if w, ok := newID[e.To]; ok && newID[v] < w {
-				if err := b.AddEdge(newID[v], w, e.Weight); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	old := make([]int, len(keep))
-	copy(old, keep)
-	return sub, old, nil
-}
-
 // LargestComponent returns the node set of the largest connected
 // component of the graph described by n and edges (used by generators
 // before Build, which requires connectivity).

@@ -118,17 +118,6 @@ func Dijkstra(g *graph.Graph, src int) *SPT {
 	return &SPT{Source: src, Dist: dist, Parent: parent}
 }
 
-// PathTo returns the node sequence of the tree path from v to the source
-// (inclusive on both ends).
-func (t *SPT) PathTo(v int) []int {
-	var path []int
-	for v != -1 {
-		path = append(path, v)
-		v = t.Parent[v]
-	}
-	return path
-}
-
 // Voronoi computes the graph Voronoi partition for the given centers.
 //
 // Each node is assigned to the center minimizing (distance, center id)

@@ -17,6 +17,17 @@ func mustGrid(t *testing.T, r, c int) *graph.Graph {
 	return g
 }
 
+// pathTo returns the node sequence of the tree path from v to the
+// source of t (inclusive on both ends).
+func pathTo(t *SPT, v int) []int {
+	var path []int
+	for v != -1 {
+		path = append(path, v)
+		v = t.Parent[v]
+	}
+	return path
+}
+
 func TestDijkstraGrid(t *testing.T) {
 	g := mustGrid(t, 4, 4)
 	spt := Dijkstra(g, 0)
@@ -33,7 +44,7 @@ func TestDijkstraGrid(t *testing.T) {
 	// Walking parents from any node must reach the source with
 	// decreasing distance.
 	for v := 1; v < g.N(); v++ {
-		path := spt.PathTo(v)
+		path := pathTo(spt, v)
 		if path[len(path)-1] != 0 {
 			t.Fatalf("PathTo(%d) does not end at source: %v", v, path)
 		}

@@ -249,16 +249,6 @@ func (h *Hierarchy) ZoomStep(x, i int) int {
 	return int(h.zoomParent[i][x])
 }
 
-// Zoom returns the full zooming sequence u(0..L) of u.
-func (h *Hierarchy) Zoom(u int) []int {
-	seq := make([]int, h.L+1)
-	seq[0] = u
-	for i := 0; i < h.L; i++ {
-		seq[i+1] = h.ZoomStep(seq[i], i)
-	}
-	return seq
-}
-
 // Ring returns X_i(u) = B_u(Radius(i)/eps) ∩ Y_i, in increasing distance
 // from u (Section 4.1).
 func (h *Hierarchy) Ring(u, i int, eps float64) []int {

@@ -102,11 +102,21 @@ func TestHierarchyNesting(t *testing.T) {
 	}
 }
 
+// zoom returns the full zooming sequence u(0..L) of u.
+func zoom(h *Hierarchy, u int) []int {
+	seq := make([]int, h.L+1)
+	seq[0] = u
+	for i := 0; i < h.L; i++ {
+		seq[i+1] = h.ZoomStep(seq[i], i)
+	}
+	return seq
+}
+
 func TestZoomSequence(t *testing.T) {
 	a := geoAPSP(t, 120, 5)
 	h := NewHierarchy(a, 7)
 	for v := 0; v < a.N(); v++ {
-		seq := h.Zoom(v)
+		seq := zoom(h, v)
 		if seq[0] != v {
 			t.Fatalf("zoom(%d)[0] = %d", v, seq[0])
 		}
@@ -227,7 +237,7 @@ func TestNettingTreeRanges(t *testing.T) {
 	}
 	// l(u) ∈ Range(x, i) iff u(i) = x — the central lookup invariant.
 	for v := 0; v < a.N(); v++ {
-		seq := h.Zoom(v)
+		seq := zoom(h, v)
 		for i := 0; i <= h.L; i++ {
 			for _, x := range h.Levels[i] {
 				rg, ok := tr.Range(x, i)

@@ -158,6 +158,15 @@ func TestStoreQuotaEven(t *testing.T) {
 	}
 }
 
+// virtualCost returns the sum of virtual edge weights along a trail.
+func virtualCost[D any](t *Tree[D], trail []int) float64 {
+	c := 0.0
+	for i := 1; i < len(trail); i++ {
+		c += t.Nodes[trail[i]].EdgeW
+	}
+	return c
+}
+
 func TestSearchCostBound(t *testing.T) {
 	// Virtual descent cost <= height <= (1+eps)r, so the round trip is
 	// <= 2(1+eps)r — the cost bound Lemma 3.4 charges per level.
@@ -174,7 +183,7 @@ func TestSearchCostBound(t *testing.T) {
 		if !found {
 			t.Fatalf("key %d not found", v)
 		}
-		if c := tr.VirtualCost(trail); c > (1+tr.Eps)*radius+1e-9 {
+		if c := virtualCost(tr, trail); c > (1+tr.Eps)*radius+1e-9 {
 			t.Fatalf("descent cost %v > (1+eps)r = %v", c, (1+tr.Eps)*radius)
 		}
 	}

@@ -288,15 +288,6 @@ func (t *Tree[D]) Search(key int) (data D, found bool, trail []int) {
 	}
 }
 
-// VirtualCost returns the sum of virtual edge weights along a trail.
-func (t *Tree[D]) VirtualCost(trail []int) float64 {
-	c := 0.0
-	for i := 1; i < len(trail); i++ {
-		c += t.Nodes[trail[i]].EdgeW
-	}
-	return c
-}
-
 // MaxDegree returns the largest number of children of any tree node.
 func (t *Tree[D]) MaxDegree() int {
 	max := 0
