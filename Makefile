@@ -74,10 +74,13 @@ bench:
 	$(MAKE) --no-print-directory gobench
 
 # Go's own benchmarks for each codec layer (the bit stream, the frame
-# request and response) and the serving engine, with allocation
-# counts, five runs each. BENCH_gobench.txt is headed by the hardware
-# context, so two trees' files compare with benchstat (or by eye) only
-# when the headers match. Wall time is informational, never gated.
+# request and response), the serving engine (cache hits, uncached
+# queries on a tiny engine, and BenchmarkWalk: one uncached RouteLite
+# per scheme over an n=1024 geometric network whose tables exceed the
+# cache) and the four scheme constructors, with allocation counts, five
+# runs each. BENCH_gobench.txt is headed by the hardware context, so
+# two trees' files compare with benchstat (or by eye) only when the
+# headers match. Wall time is informational, never gated.
 GOBENCH = -run '^$$' -benchmem -count 5 -bench
 gobench:
 	@{ echo "# nproc: $$(nproc)"; \
@@ -85,7 +88,8 @@ gobench:
 	   echo "# $$($(GO) version)"; } > BENCH_gobench.txt
 	$(GO) test $(GOBENCH) '^Benchmark(WriteBits|ReadBits|UvarintRoundTrip)$$' ./internal/bits >> BENCH_gobench.txt
 	$(GO) test $(GOBENCH) '^BenchmarkRoute(Response|Request)(Encode|DecodeInto)$$' ./internal/frame >> BENCH_gobench.txt
-	$(GO) test $(GOBENCH) '^BenchmarkServerRoute(Cached|Uncached)$$' ./internal/server >> BENCH_gobench.txt
+	$(GO) test $(GOBENCH) '^Benchmark(ServerRoute(Cached|Uncached)|Walk)$$' ./internal/server >> BENCH_gobench.txt
+	$(GO) test $(GOBENCH) '^BenchmarkBuild' ./internal/exp >> BENCH_gobench.txt
 
 # chaossim must be seed-deterministic: the same seed produces a
 # byte-identical JSON sweep. Run a small sweep twice and diff.

@@ -118,15 +118,6 @@ func GeometricEnv(n int, seed int64) (*Env, error) {
 	return &Env{Name: fmt.Sprintf("geometric n=%d", g.N()), G: g, A: metric.NewAPSP(g)}, nil
 }
 
-// ExpStarEnv returns an exponential-diameter star of k arms.
-func ExpStarEnv(n, k int, base float64) (*Env, error) {
-	g, err := graph.ExponentialStar(n, k, base)
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Name: fmt.Sprintf("exp-star n=%d", n), G: g, A: metric.NewAPSP(g)}, nil
-}
-
 // ExpPathEnv returns an exponential-diameter path.
 func ExpPathEnv(n int, base float64) (*Env, error) {
 	g, err := graph.ExponentialPath(n, base)

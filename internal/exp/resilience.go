@@ -13,7 +13,9 @@ import (
 	"compactrouting/internal/sim"
 )
 
-// ChaosConfig parameterizes the resilience sweep (cmd/chaossim).
+// ChaosConfig parameterizes the resilience sweep. cmd/chaossim builds
+// it from its flags; the flag defaults are the sweep `make bench`
+// writes to BENCH_chaossim.json.
 type ChaosConfig struct {
 	// LossRates are the per-hop packet-loss probabilities swept.
 	LossRates []float64
@@ -25,17 +27,6 @@ type ChaosConfig struct {
 	// HopLatency is the virtual time per hop (interacts with Rel's
 	// backoff and deadline).
 	HopLatency float64
-}
-
-// DefaultChaosConfig returns the standard sweep written to
-// BENCH_chaossim.json.
-func DefaultChaosConfig() ChaosConfig {
-	return ChaosConfig{
-		LossRates:  []float64{0, 0.02, 0.05, 0.1, 0.2},
-		FailFracs:  []float64{0, 0.05, 0.1},
-		Rel:        faultsim.DefaultReliability,
-		HopLatency: 1,
-	}
 }
 
 // ChaosRecord is one (scheme, loss rate, failed-edge fraction) cell of

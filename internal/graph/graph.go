@@ -25,29 +25,37 @@ type Edge struct {
 
 // Graph is an immutable connected weighted undirected graph.
 // Construct one with a Builder.
+//
+// Every half-edge lives in one backing array, half, node by node and
+// sorted by neighbour id within a node (CSR): v's edges are
+// half[off[v]:off[v+1]], and nbr holds the same windows as packed int32
+// neighbour ids, so NeighborWeight's binary search reads 4-byte ids
+// instead of striding over 16-byte Edges.
 type Graph struct {
-	adj [][]Edge
-	m   int
+	half []Edge
+	nbr  []int32
+	off  []int32 // len N()+1
+	m    int
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
 // Neighbors returns the adjacency list of v. The returned slice must not
 // be modified.
-func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
+func (g *Graph) Neighbors(v int) []Edge { return g.half[g.off[v]:g.off[v+1]:g.off[v+1]] }
 
 // Degree returns the number of edges incident to v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 
 // MaxDegree returns the largest degree in the graph.
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for v := range g.adj {
-		if d := len(g.adj[v]); d > max {
+	for v := 0; v < g.N(); v++ {
+		if d := g.Degree(v); d > max {
 			max = d
 		}
 	}
@@ -56,7 +64,7 @@ func (g *Graph) MaxDegree() int {
 
 // EdgeWeight returns the weight of edge (u,v) and whether it exists.
 func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
-	for _, e := range g.adj[u] {
+	for _, e := range g.Neighbors(u) {
 		if e.To == v {
 			return e.Weight, true
 		}
@@ -64,18 +72,32 @@ func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
 	return 0, false
 }
 
-// NeighborWeight is EdgeWeight by binary search: adjacency lists are
-// sorted by neighbor id, so per-transmission lookups (the dist engine
-// validates and weighs every message against the sender's adjacency)
-// cost O(log deg) instead of EdgeWeight's linear scan.
+// NeighborWeight is EdgeWeight by binary search over u's packed
+// neighbour ids: per-hop lookups (every walk checks each forward, and
+// the dist engine validates and weighs every message against the
+// sender's adjacency) cost O(log deg) instead of EdgeWeight's linear
+// scan. It keeps a two-way branching search rather than the
+// branch-free bsearch.Index the routing tables use: on BenchmarkWalk
+// (internal/server) the branch-free search measured 1–11% slower here.
 //
 //determinlint:hotpath
 func (g *Graph) NeighborWeight(u, v int) (float64, bool) {
-	adj := g.adj[u]
-	//determinlint:allow hotpath the closure does not escape sort.Search and stays on the stack; the server alloc tests pin this path at 0 allocs/op
-	i := sort.Search(len(adj), func(k int) bool { return adj[k].To >= v })
-	if i < len(adj) && adj[i].To == v {
-		return adj[i].Weight, true
+	if v < 0 || v >= g.N() {
+		return 0, false
+	}
+	t := int32(v)
+	lo, hi := int(g.off[u]), int(g.off[u+1])
+	end := hi
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if g.nbr[m] < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < end && g.nbr[lo] == t {
+		return g.half[lo].Weight, true
 	}
 	return 0, false
 }
@@ -83,11 +105,9 @@ func (g *Graph) NeighborWeight(u, v int) (float64, bool) {
 // MinEdgeWeight returns the smallest edge weight in the graph.
 func (g *Graph) MinEdgeWeight() float64 {
 	min := math.Inf(1)
-	for v := range g.adj {
-		for _, e := range g.adj[v] {
-			if e.Weight < min {
-				min = e.Weight
-			}
+	for _, e := range g.half {
+		if e.Weight < min {
+			min = e.Weight
 		}
 	}
 	return min
@@ -133,15 +153,36 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.n <= 0 {
 		return nil, errors.New("graph: empty graph")
 	}
-	g := &Graph{adj: make([][]Edge, b.n), m: len(b.edges)}
+	g := &Graph{
+		nbr: make([]int32, 2*len(b.edges)),
+		off: make([]int32, b.n+1),
+		m:   len(b.edges),
+	}
+	if len(b.edges) > 0 {
+		g.half = make([]Edge, 2*len(b.edges))
+	}
+	for key := range b.edges {
+		g.off[key[0]+1]++
+		g.off[key[1]+1]++
+	}
+	for v := 0; v < b.n; v++ {
+		g.off[v+1] += g.off[v]
+	}
+	fill := make([]int32, b.n)
+	copy(fill, g.off)
 	for key, w := range b.edges {
 		u, v := key[0], key[1]
-		g.adj[u] = append(g.adj[u], Edge{To: v, Weight: w})
-		g.adj[v] = append(g.adj[v], Edge{To: u, Weight: w})
+		g.half[fill[u]] = Edge{To: v, Weight: w}
+		fill[u]++
+		g.half[fill[v]] = Edge{To: u, Weight: w}
+		fill[v]++
 	}
-	for v := range g.adj {
-		adj := g.adj[v]
+	for v := 0; v < b.n; v++ {
+		adj := g.Neighbors(v)
 		sort.Slice(adj, func(i, j int) bool { return adj[i].To < adj[j].To })
+	}
+	for i, e := range g.half {
+		g.nbr[i] = int32(e.To)
 	}
 	if b.n > 1 && !g.connected() {
 		return nil, errors.New("graph: not connected")
@@ -157,7 +198,7 @@ func (g *Graph) connected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[v] {
+		for _, e := range g.Neighbors(v) {
 			if !seen[e.To] {
 				seen[e.To] = true
 				count++

@@ -230,7 +230,7 @@ func inducedSubgraph(g *Graph, keep []int) (*Graph, []int, error) {
 	}
 	b := NewBuilder(len(keep))
 	for _, v := range keep {
-		for _, e := range g.adj[v] {
+		for _, e := range g.Neighbors(v) {
 			if w, ok := newID[e.To]; ok && newID[v] < w {
 				if err := b.AddEdge(newID[v], w, e.Weight); err != nil {
 					return nil, nil, err

@@ -45,15 +45,19 @@ func EncodeSimpleTable(idBits int, selfLabel int32, levels [][]TableEntry) ([]by
 // EncodeTable serializes node v's routing table. The encoded length in
 // bits is exactly TableBits(v) — the number the experiments report —
 // so the space claims are backed by a real byte layout, not an
-// estimate. See EncodeSimpleTable for the layout.
+// estimate. See EncodeSimpleTable for the layout. The rings are held
+// in lookup order (ascending range start); each is emitted in the
+// canonical ascending-x order, so the bytes do not depend on it.
 func (s *Simple) EncodeTable(v int) ([]byte, int) {
-	levels := make([][]TableEntry, len(s.rings[v]))
-	for i, ring := range s.rings[v] {
+	lo, hi := s.rings.rings(v)
+	levels := make([][]TableEntry, hi-lo)
+	for k := lo; k < hi; k++ {
+		ring := byX(s.rings.ring(k))
 		lv := make([]TableEntry, len(ring))
-		for k, e := range ring {
-			lv[k] = TableEntry{X: e.x, Lo: e.lo, Hi: e.hi, Next: e.next, Far: e.far}
+		for i, e := range ring {
+			lv[i] = TableEntry{X: e.x, Lo: e.lo, Hi: e.hi, Next: e.next, Far: e.far}
 		}
-		levels[i] = lv
+		levels[k-lo] = lv
 	}
 	return EncodeSimpleTable(s.idBits, int32(s.nt.Label(v)), levels)
 }
@@ -65,9 +69,8 @@ func (s *Simple) EncodeTable(v int) ([]byte, int) {
 // keeps the codec and the table accounting honest.
 type DecodedSimple struct {
 	g         *graph.Graph
-	idBits    int
 	selfLabel []int32
-	rings     [][][]ringEntry
+	rings     ringArena
 	// nodeOfLabel is rebuilt from the self labels (used only to
 	// validate arrival, as the destination itself would).
 	nodeOfLabel []int32
@@ -82,84 +85,48 @@ func DecodeSimple(g *graph.Graph, tables [][]byte, sizes []int) (*DecodedSimple,
 	}
 	d := &DecodedSimple{
 		g:           g,
-		idBits:      bits.UintBits(n),
 		selfLabel:   make([]int32, n),
-		rings:       make([][][]ringEntry, n),
+		rings:       newRingArena(n, 0, 0),
 		nodeOfLabel: make([]int32, n),
 	}
 	for i := range d.nodeOfLabel {
 		d.nodeOfLabel[i] = -1
 	}
+	idBits := bits.UintBits(n)
 	for v := 0; v < n; v++ {
-		r := bits.NewReader(tables[v], sizes[v])
-		levels, err := r.ReadUvarint()
+		self, err := parseSimpleTable(&d.rings, tables[v], sizes[v], idBits, n)
 		if err != nil {
 			return nil, fmt.Errorf("labeled: table %d: %w", v, err)
 		}
-		self, err := r.ReadBits(d.idBits)
-		if err != nil {
-			return nil, fmt.Errorf("labeled: table %d: %w", v, err)
-		}
-		d.selfLabel[v] = int32(self)
-		if self >= uint64(n) || d.nodeOfLabel[self] != -1 {
-			return nil, fmt.Errorf("labeled: table %d: label %d invalid or duplicated", v, self)
+		d.selfLabel[v] = self
+		if d.nodeOfLabel[self] != -1 {
+			return nil, fmt.Errorf("labeled: table %d: label %d duplicated", v, self)
 		}
 		d.nodeOfLabel[self] = int32(v)
-		d.rings[v] = make([][]ringEntry, levels)
-		for l := range d.rings[v] {
-			count, err := r.ReadUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("labeled: table %d level %d: %w", v, l, err)
-			}
-			ring := make([]ringEntry, count)
-			for k := range ring {
-				var e ringEntry
-				for _, dst := range []*int32{&e.x, &e.lo, &e.hi, &e.next} {
-					f, err := r.ReadBits(d.idBits)
-					if err != nil {
-						return nil, fmt.Errorf("labeled: table %d level %d entry %d: %w", v, l, k, err)
-					}
-					*dst = int32(f)
-				}
-				far, err := r.ReadBit()
-				if err != nil {
-					return nil, fmt.Errorf("labeled: table %d level %d entry %d: %w", v, l, k, err)
-				}
-				e.far = far
-				ring[k] = e
-			}
-			d.rings[v][l] = ring
-		}
-		if r.Remaining() != 0 {
-			return nil, fmt.Errorf("labeled: table %d has %d trailing bits", v, r.Remaining())
-		}
 	}
+	d.rings.seal()
 	return d, nil
 }
 
 // Step performs one forwarding decision from decoded state only.
 func (d *DecodedSimple) Step(w int, h SimpleHeader) (int, SimpleHeader, bool, error) {
-	label := int(h.Label)
-	if int(d.selfLabel[w]) == label {
+	if d.selfLabel[w] == h.Label {
 		return 0, h, true, nil
 	}
+	var e *ringEntry
 	if h.Target < 0 || int(h.Target) == w {
-		acquired := false
-		for i, ring := range d.rings[w] {
-			if e := findEntry(ring, label); e != nil {
-				if int(e.x) == w {
-					return 0, h, false, fmt.Errorf("labeled: decoded self target at %d level %d", w, i)
-				}
-				h.Target, h.Level = e.x, int32(i)
-				acquired = true
-				break
-			}
+		i, hit, ok := d.rings.minimalHit(w, h.Label)
+		if !ok {
+			return 0, h, false, fmt.Errorf("labeled: decoded node %d has no ring hit for label %d", w, h.Label)
 		}
-		if !acquired {
-			return 0, h, false, fmt.Errorf("labeled: decoded node %d has no ring hit for label %d", w, label)
+		if int(hit.x) == w {
+			return 0, h, false, fmt.Errorf("labeled: decoded self target at %d level %d", w, i)
 		}
+		h.Target, h.Level = hit.x, int32(i)
+		e = hit
+	} else if lo, hi := d.rings.rings(w); h.Level >= 0 && lo+int(h.Level) < hi {
+		e = d.rings.find(lo+int(h.Level), h.Label)
 	}
-	e := findEntry(d.rings[w][h.Level], label)
 	if e == nil || e.x != h.Target {
 		return 0, h, false, fmt.Errorf("labeled: decoded relay %d lost target %d", w, h.Target)
 	}
@@ -173,7 +140,8 @@ func (d *DecodedSimple) RouteToLabel(src, label int) (*core.Route, error) {
 	}
 	tr := core.NewTrace(d.g, src)
 	h := SimpleHeader{Label: int32(label), Target: -1}
-	maxSteps := 8 * d.g.N() * len(d.rings[src])
+	lo, hi := d.rings.rings(src)
+	maxSteps := 8 * d.g.N() * (hi - lo)
 	for step := 0; ; step++ {
 		if step > maxSteps {
 			return nil, fmt.Errorf("labeled: decoded routing loop to label %d", label)

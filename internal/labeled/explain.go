@@ -67,10 +67,11 @@ func (s *ScaleFree) Explain(src, label int) (*Phase5Trace, error) {
 			rec.Direct = true
 			break
 		}
-		lv, e, found := s.minimalHitR(u, label)
-		direct := found && lv.i == 0
-		if found && lv.i <= prev && (e.far || direct) && int(e.x) != u {
-			prev = lv.i
+		lv, e, found := s.minimalHitR(u, int32(label))
+		li, lj := int(lv.i), int(lv.j)
+		direct := found && li == 0
+		if found && li <= prev && (e.far || direct) && int(e.x) != u {
+			prev = li
 			if err := tr.Hop(int(e.next)); err != nil {
 				return nil, err
 			}
@@ -81,16 +82,16 @@ func (s *ScaleFree) Explain(src, label int) (*Phase5Trace, error) {
 			return nil, fmt.Errorf("labeled: explain: no ring hit at %d (outside analyzed range)", u)
 		}
 		rec.PhaseACost = tr.Cost()
-		rec.IT, rec.J, rec.UT = lv.i, lv.j, u
-		cl := s.cells[lv.j][s.ownerBall[lv.j][u]]
+		rec.IT, rec.J, rec.UT = li, lj, u
+		cl := s.cells[lj][s.ownerBall[lj][u]]
 		rec.Center = cl.center
 		rec.CenterDist = s.a.Dist(u, cl.center)
-		rec.BallRadius = s.pk.Balls[lv.j][s.ownerBall[lv.j][u]].Radius
-		rec.RUj = s.a.RadiusOfSize(u, s.pk.Size(lv.j))
-		rec.RUj1 = s.a.RadiusOfSize(u, s.pk.Size(lv.j+1))
+		rec.BallRadius = s.pk.Balls[lj][s.ownerBall[lj][u]].Radius
+		rec.RUj = s.a.RadiusOfSize(u, s.pk.Size(lj))
+		rec.RUj1 = s.a.RadiusOfSize(u, s.pk.Size(lj+1))
 		rec.DistUTtoDst = s.a.Dist(u, dst)
 		rec.Claim46Holds = rec.RUj/(3*s.eps) < rec.DistUTtoDst &&
-			(lv.j == s.pk.MaxJ() || rec.DistUTtoDst < rec.RUj1/5)
+			(lj == s.pk.MaxJ() || rec.DistUTtoDst < rec.RUj1/5)
 		// Route to the center.
 		path, err := cl.tree.Route(u, cl.tree.Label(cl.center))
 		if err != nil {
@@ -123,7 +124,7 @@ func (s *ScaleFree) Explain(src, label int) (*Phase5Trace, error) {
 		}
 		rec.SearchCost = tr.Cost() - before
 		if !fnd {
-			return nil, fmt.Errorf("labeled: explain: search failed at (j=%d, c=%d) — outside analyzed range", lv.j, cl.center)
+			return nil, fmt.Errorf("labeled: explain: search failed at (j=%d, c=%d) — outside analyzed range", lj, cl.center)
 		}
 		before = tr.Cost()
 		path, err = cl.tree.Route(cl.center, data)

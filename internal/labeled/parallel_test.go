@@ -68,7 +68,7 @@ func TestScaleFreeParallelEquivalence(t *testing.T) {
 		}
 		parallel = s
 	})
-	if !reflect.DeepEqual(serial.levels, parallel.levels) {
+	if !reflect.DeepEqual(serial.rings, parallel.rings) || !reflect.DeepEqual(serial.levels, parallel.levels) || !reflect.DeepEqual(serial.stored, parallel.stored) {
 		t.Fatal("parallel build produced different stored levels than serial build")
 	}
 	if !reflect.DeepEqual(serial.ownerBall, parallel.ownerBall) {

@@ -15,12 +15,11 @@ import (
 	"compactrouting/internal/treeroute"
 )
 
-// sfLevel is one stored level of R(u): the level index i, the packing
-// level j(u, i) Algorithm 5 line 7 consults, and the ring entries.
+// sfLevel labels one stored level of R(u): the level index i and the
+// packing level j(u, i) Algorithm 5 line 7 consults. The level's ring
+// entries are the matching ring of the scheme's arena.
 type sfLevel struct {
-	i       int
-	j       int
-	entries []ringEntry
+	i, j int32
 }
 
 // cell is the per-(j, ball) machinery of Theorem 1.2: the Voronoi cell
@@ -47,8 +46,14 @@ type ScaleFree struct {
 	eps float64
 
 	idBits int
-	// levels[v] holds the rings for i ∈ R(v), ascending in i.
-	levels [][]sfLevel
+	// rings holds node v's rings for i ∈ R(v), ascending in i, each
+	// sorted by range start (lookup order); levels[k] labels ring k.
+	rings  ringArena
+	levels []sfLevel
+	// stored keeps the rings' canonical (ball) order, which the
+	// snapshot codec emits: the c-th stored entry of ring k is
+	// rings.ring(k)[stored[rings.start[k]+c]].
+	stored []int32
 	// ownerBall[j][v] = index within pk.Balls[j] of the ball whose
 	// Voronoi cell contains v.
 	ownerBall [][]int32
@@ -83,7 +88,9 @@ func NewScaleFree(g *graph.Graph, a metric.Distancer, eps float64) (*ScaleFree, 
 	if err := s.buildCells(); err != nil {
 		return nil, err
 	}
-	s.buildRings()
+	if err := s.buildRings(); err != nil {
+		return nil, err
+	}
 	s.accountStorage()
 	return s, nil
 }
@@ -172,14 +179,19 @@ func (s *ScaleFree) buildCells() error {
 // R(v) = { i : exists j with (eps/6) r_v(j) <= Radius(i) <= r_v(j) }
 // (Section 4.1), where r_v(j) is the radius of the ball of size
 // min(2^j, n) around v. |R(v)| = O(log n * log(1/eps)) levels.
-func (s *ScaleFree) buildRings() {
+func (s *ScaleFree) buildRings() error {
 	n := s.g.N()
 	L := s.h.TopLevel()
 	maxJ := s.pk.MaxJ()
-	s.levels = make([][]sfLevel, n)
+	type nodeRings struct {
+		levels []sfLevel
+		rings  [][]ringEntry
+	}
 	// Node v's stored levels depend only on the oracle and the shared
-	// hierarchy/packing; iteration v writes levels[v] alone.
-	par.For(n, func(v int) {
+	// hierarchy/packing; iteration v builds its own result, and the
+	// results are laid into the arena in node order below.
+	perNode := par.Map(n, func(v int) nodeRings {
+		var out nodeRings
 		var scratch []int // ball buffer reused across the node's levels
 		rv := make([]float64, maxJ+1)
 		for j := 0; j <= maxJ; j++ {
@@ -214,13 +226,34 @@ func (s *ScaleFree) buildRings() {
 					ji = j
 				}
 			}
-			s.levels[v] = append(s.levels[v], sfLevel{
-				i:       i,
-				j:       ji,
-				entries: s.ringEntriesAt(v, i, &scratch),
-			})
+			out.levels = append(out.levels, sfLevel{i: int32(i), j: int32(ji)})
+			out.rings = append(out.rings, s.ringEntriesAt(v, i, &scratch))
 		}
+		return out
 	})
+	rings, entries := 0, 0
+	for _, nr := range perNode {
+		rings += len(nr.rings)
+		for _, r := range nr.rings {
+			entries += len(r)
+		}
+	}
+	s.rings = newRingArena(n, rings, entries)
+	s.levels = make([]sfLevel, 0, rings)
+	s.stored = make([]int32, 0, entries)
+	for v, nr := range perNode {
+		for k, r := range nr.rings {
+			var err error
+			if s.stored, err = sortByLoTracked(r, s.stored); err != nil {
+				return fmt.Errorf("labeled: node %d level %d: %w", v, nr.levels[k].i, err)
+			}
+			s.rings.addRing(r)
+			s.levels = append(s.levels, nr.levels[k])
+		}
+		s.rings.endNode()
+	}
+	s.rings.seal()
+	return nil
 }
 
 // ringEntriesAt builds X_i(v) = B_v(Radius(i)/eps) ∩ Y_i with the far
@@ -259,10 +292,12 @@ func (s *ScaleFree) accountStorage() {
 	// below stays serial because it scatters into arbitrary entries.
 	par.For(n, func(v int) {
 		b := s.idBits // own label
-		for _, lv := range s.levels[v] {
+		lo, hi := s.rings.rings(v)
+		for k := lo; k < hi; k++ {
+			lv, ring := s.levels[k], s.rings.ring(k)
 			b += bits.UvarintLen(uint64(lv.i)) + bits.UvarintLen(uint64(lv.j))
-			b += bits.UvarintLen(uint64(len(lv.entries)))
-			b += len(lv.entries) * ringBits(s.idBits)
+			b += bits.UvarintLen(uint64(len(ring)))
+			b += len(ring) * ringBits(s.idBits)
 		}
 		for j := range s.cells {
 			cl := s.cells[j][s.ownerBall[j][v]]
@@ -279,12 +314,11 @@ func (s *ScaleFree) accountStorage() {
 	// Search-tree residency: structure bits live at the hosting nodes.
 	for j := range s.cells {
 		for _, cl := range s.cells[j] {
-			for _, v := range cl.st.Members {
-				nd := cl.st.Nodes[v]
+			for p, v := range cl.st.Members {
 				b := 3 * s.idBits // parent id + own subtree range
-				b += len(nd.Children) * 3 * s.idBits
-				for _, p := range nd.Pairs {
-					b += s.idBits + p.Data.Bits()
+				b += len(cl.st.Children(p)) * 3 * s.idBits
+				for _, pr := range cl.st.Pairs(p) {
+					b += s.idBits + pr.Data.Bits()
 				}
 				b += cl.rz.StorageBits(v)
 				s.tblBits[v] += b
@@ -324,15 +358,14 @@ func (s *ScaleFree) NettingTree() *rnet.NettingTree { return s.nt }
 func (s *ScaleFree) Packing() *ballpack.Packing { return s.pk }
 
 // minimalHitR returns the lowest-index stored level of u whose ring
-// contains the label's ancestor (Algorithm 5 line 2).
-func (s *ScaleFree) minimalHitR(u, label int) (*sfLevel, *ringEntry, bool) {
-	for k := range s.levels[u] {
-		lv := &s.levels[u][k]
-		if e := findEntry(lv.entries, label); e != nil {
-			return lv, e, true
-		}
+// contains the label's ancestor (Algorithm 5 line 2), walking u's
+// contiguous rings in order.
+func (s *ScaleFree) minimalHitR(u int, label int32) (sfLevel, *ringEntry, bool) {
+	i, e, ok := s.rings.minimalHit(u, label)
+	if !ok {
+		return sfLevel{}, nil, false
 	}
-	return nil, nil, false
+	return s.levels[int(s.rings.node[u])+i], e, true
 }
 
 // phaseAHeader is the header size during Algorithm 5's walking phase:

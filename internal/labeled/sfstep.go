@@ -85,15 +85,15 @@ func (s *ScaleFree) Step(w int, h SFHeader) (next int, nh SFHeader, arrived bool
 			if s.nt.Label(w) == label {
 				return 0, h, true, nil
 			}
-			lv, e, found := s.minimalHitR(w, label)
+			lv, e, found := s.minimalHitR(w, h.Label)
 			direct := found && lv.i == 0
-			if found && lv.i <= int(h.Prev) && (e.far || direct) && int(e.x) != w {
-				h.Prev = int32(lv.i)
+			if found && lv.i <= h.Prev && (e.far || direct) && int(e.x) != w {
+				h.Prev = lv.i
 				return int(e.next), h, false, nil
 			}
 			j := s.pk.MaxJ()
 			if found {
-				j = lv.j
+				j = int(lv.j)
 			} else {
 				h.Fallback = true
 			}
@@ -120,11 +120,14 @@ func (s *ScaleFree) Step(w int, h SFHeader) (next int, nh SFHeader, arrived bool
 				return s.walkToward(w, h)
 			}
 			cl := s.cells[h.J][s.ownerBall[h.J][w]]
-			nd := cl.st.Nodes[w]
+			p := cl.st.Pos(w)
+			if p < 0 {
+				return 0, h, false, fmt.Errorf("labeled: node %d outside search tree of cell %d", w, cl.center)
+			}
 			descended := false
-			for _, c := range nd.Children {
+			for _, c := range cl.st.Children(p) {
 				if !c.Empty && c.Lo <= label && label <= c.Hi {
-					h.VTarget = int32(c.ID)
+					h.VTarget = c.ID
 					descended = true
 					break
 				}
@@ -135,10 +138,10 @@ func (s *ScaleFree) Step(w int, h SFHeader) (next int, nh SFHeader, arrived bool
 				}
 				return s.walkToward(w, h)
 			}
-			for _, p := range nd.Pairs {
-				if p.Key == label {
+			for _, pr := range cl.st.Pairs(p) {
+				if pr.Key == label {
 					h.Found = true
-					h.Data = p.Data
+					h.Data = pr.Data
 					break
 				}
 			}
@@ -147,7 +150,7 @@ func (s *ScaleFree) Step(w int, h SFHeader) (next int, nh SFHeader, arrived bool
 				h = s.leaveSearch(w, h)
 				continue
 			}
-			h.VTarget = int32(nd.Parent)
+			h.VTarget = cl.st.At(p).Parent
 			return s.walkToward(w, h)
 		case SFPhaseSearchUp:
 			if w != int(h.VTarget) {
@@ -158,7 +161,11 @@ func (s *ScaleFree) Step(w int, h SFHeader) (next int, nh SFHeader, arrived bool
 				h = s.leaveSearch(w, h)
 				continue
 			}
-			h.VTarget = int32(cl.st.Nodes[w].Parent)
+			p := cl.st.Pos(w)
+			if p < 0 {
+				return 0, h, false, fmt.Errorf("labeled: node %d outside search tree of cell %d", w, cl.center)
+			}
+			h.VTarget = cl.st.At(p).Parent
 			return s.walkToward(w, h)
 		case SFPhaseFinal:
 			cl := s.cells[h.J][s.ownerBall[h.J][w]]

@@ -25,8 +25,10 @@
 package labeled
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"compactrouting/internal/bits"
@@ -36,31 +38,6 @@ import (
 	"compactrouting/internal/par"
 	"compactrouting/internal/rnet"
 )
-
-// ringEntry is one ring record in a node's table: the net point x, the
-// netting-tree range of (x, i), the next hop toward x, and whether x is
-// still "far" (Algorithm 5's line-3 distance test, precomputed as one
-// bit since it only depends on the storing node).
-type ringEntry struct {
-	x    int32
-	lo   int32
-	hi   int32
-	next int32
-	far  bool
-}
-
-// ringBits is the encoded size of one ring entry: four ids and a flag.
-func ringBits(idBits int) int { return 4*idBits + 1 }
-
-// findEntry returns the entry whose range contains label, or nil.
-func findEntry(entries []ringEntry, label int) *ringEntry {
-	for k := range entries {
-		if int(entries[k].lo) <= label && label <= int(entries[k].hi) {
-			return &entries[k]
-		}
-	}
-	return nil
-}
 
 // Simple is the non-scale-free (1+O(eps))-stretch labeled scheme.
 type Simple struct {
@@ -72,9 +49,11 @@ type Simple struct {
 	// ringFactor scales ring radii (see NewSimpleRingFactor).
 	ringFactor float64
 	name       string
-	// rings[v][i] is X_i(v) with ring radius ringFactor*Radius(i),
-	// for every level i in [0, L].
-	rings  [][][]ringEntry
+	// rings holds X_i(v) with ring radius ringFactor*Radius(i) for
+	// every node v and level i in [0, L]: node v's ring k is level
+	// k - rings.node[v], and each ring is sorted by range start (lookup
+	// order; EncodeTable restores the canonical ascending-x order).
+	rings  ringArena
 	tblBit []int
 	idBits int
 }
@@ -103,8 +82,9 @@ func NewSimple(g *graph.Graph, a metric.Distancer, eps float64) (*Simple, error)
 // of every node of B_x(radius). Membership and next hops then read only
 // center rows — Dist(x, v), and NextHop(v, x) which is column v of x's
 // own tree — so the lazy backend builds |Y_i| truncated rows per level
-// (prefetched in parallel) instead of one full row per node. Sweeping
-// centers in ascending id appends each ring already sorted by x.
+// (prefetched in parallel) instead of one full row per node. The
+// scattered entries are then placed into the ring arena node by node,
+// each ring in ascending range start for the arena's binary search.
 func NewSimpleRingFactor(g *graph.Graph, a metric.Distancer, eps, factor float64) (*Simple, error) {
 	core.NoteSchemeBuild()
 	if eps <= 0 || eps > 0.5 {
@@ -119,49 +99,92 @@ func NewSimpleRingFactor(g *graph.Graph, a metric.Distancer, eps, factor float64
 		g: g, a: a, h: h, nt: nt, eps: eps,
 		ringFactor: factor,
 		name:       "labeled/simple",
-		rings:      make([][][]ringEntry, g.N()),
 		tblBit:     make([]int, g.N()),
 		idBits:     bits.UintBits(g.N()),
 	}
 	n := g.N()
-	for v := 0; v < n; v++ {
-		s.rings[v] = make([][]ringEntry, h.TopLevel()+1)
-	}
+	levels := h.TopLevel() + 1
+	// members[i] and nexts[i] collect level i's entries as (storing
+	// node, next hop) pairs, one run per center; runs[i] lists the runs
+	// by ascending range start. Centers at one level have disjoint
+	// ranges, so laying the runs into the arena in that order leaves
+	// every ring in lookup order.
+	type run struct{ x, lo, hi, first, end int32 }
+	members := make([][]int32, levels)
+	nexts := make([][]int32, levels)
+	runs := make([][]run, levels)
 	var scratch []int
 	centers := make([]int, 0, n)
-	for i := 0; i <= h.TopLevel(); i++ {
+	for i := 0; i < levels; i++ {
 		radius := s.ringFactor * h.Radius(i) / s.eps
 		centers = append(centers[:0], h.Levels[i]...)
 		sort.Ints(centers)
 		metric.PrefetchBalls(a, centers, radius)
 		for _, x := range centers {
 			rg, _ := nt.Range(x, i)
+			first := int32(len(members[i]))
 			scratch = a.AppendBall(scratch[:0], x, radius)
 			for _, v := range scratch {
 				next := a.NextHop(v, x)
 				if next < 0 {
 					next = v // x == v: the entry's hop is never followed
 				}
-				s.rings[v][i] = append(s.rings[v][i], ringEntry{
-					x:    int32(x),
-					lo:   int32(rg.Lo),
-					hi:   int32(rg.Hi),
-					next: int32(next),
-				})
+				members[i] = append(members[i], int32(v))
+				nexts[i] = append(nexts[i], int32(next))
+			}
+			runs[i] = append(runs[i], run{x: int32(x), lo: int32(rg.Lo), hi: int32(rg.Hi), first: first, end: int32(len(members[i]))})
+		}
+		slices.SortFunc(runs[i], func(a, b run) int { return cmp.Compare(a.lo, b.lo) })
+	}
+	// Ring k = v*levels + i: count, prefix-sum, place.
+	start := make([]int32, n*levels+1)
+	for i, vs := range members {
+		for _, v := range vs {
+			start[int(v)*levels+i+1]++
+		}
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	entries := make([]ringEntry, start[len(start)-1])
+	fill := append([]int32(nil), start[:len(start)-1]...)
+	for i, vs := range members {
+		for _, r := range runs[i] {
+			for j := r.first; j < r.end; j++ {
+				k := int(vs[j])*levels + i
+				entries[fill[k]] = ringEntry{x: r.x, lo: r.lo, hi: r.hi, next: nexts[i][j]}
+				fill[k]++
 			}
 		}
 	}
-	// The bit accounting is embarrassingly parallel: iteration v reads
-	// only rings[v] and writes only tblBit[v] (see EncodeTable for the
-	// layout it mirrors bit for bit).
+	node := make([]int32, n+1)
+	for v := range node {
+		node[v] = int32(v * levels)
+	}
+	s.rings = ringArena{entries: entries, start: start, node: node}
+	// The order check and the bit accounting are embarrassingly
+	// parallel: iteration v reads only v's rings and writes only
+	// errs[v] and tblBit[v] (see EncodeTable for the layout the
+	// accounting mirrors bit for bit).
+	errs := make([]error, n)
 	par.For(n, func(v int) {
-		bitsHere := bits.UvarintLen(uint64(h.TopLevel()+1)) + s.idBits
-		for i := 0; i <= h.TopLevel(); i++ {
-			ring := s.rings[v][i]
+		bitsHere := bits.UvarintLen(uint64(levels)) + s.idBits
+		lo, hi := s.rings.rings(v)
+		for k := lo; k < hi; k++ {
+			ring := s.rings.ring(k)
+			if err := checkDisjoint(ring); err != nil && errs[v] == nil {
+				errs[v] = fmt.Errorf("labeled: node %d level %d: %w", v, k-lo, err)
+			}
 			bitsHere += bits.UvarintLen(uint64(len(ring))) + len(ring)*ringBits(s.idBits)
 		}
 		s.tblBit[v] = bitsHere
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	s.rings.seal()
 	return s, nil
 }
 
@@ -181,17 +204,6 @@ func (s *Simple) TableBits(v int) int { return s.tblBit[v] }
 
 // Eps returns the scheme's stretch parameter.
 func (s *Simple) Eps() float64 { return s.eps }
-
-// minimalHit returns the lowest level whose ring at v contains the
-// label's net ancestor, with the matching entry.
-func (s *Simple) minimalHit(v, label int) (int, *ringEntry, bool) {
-	for i := 0; i <= s.h.TopLevel(); i++ {
-		if e := findEntry(s.rings[v][i], label); e != nil {
-			return i, e, true
-		}
-	}
-	return 0, nil, false
-}
 
 // RouteToLabel delivers a packet from src to the node labeled label by
 // iterating the local Step function. Every forwarding decision reads

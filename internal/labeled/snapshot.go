@@ -66,7 +66,7 @@ func RestoreSimple(r *bits.Reader, g *graph.Graph, a metric.Distancer) (*Simple,
 		g: g, a: a, h: h, nt: nt, eps: eps,
 		ringFactor: factor,
 		name:       "labeled/simple",
-		rings:      make([][][]ringEntry, n),
+		rings:      newRingArena(n, n*(h.TopLevel()+1), 0),
 		tblBit:     make([]int, n),
 		idBits:     bits.UintBits(n),
 	}
@@ -75,71 +75,72 @@ func RestoreSimple(r *bits.Reader, g *graph.Graph, a metric.Distancer) (*Simple,
 		if err != nil {
 			return nil, fmt.Errorf("labeled: table %d: %w", v, err)
 		}
-		self, rings, err := parseSimpleTable(tbl, nbit, s.idBits, n)
+		self, err := parseSimpleTable(&s.rings, tbl, nbit, s.idBits, n)
 		if err != nil {
 			return nil, fmt.Errorf("labeled: table %d: %w", v, err)
 		}
 		if int(self) != nt.Label(v) {
 			return nil, fmt.Errorf("labeled: table %d self label %d != netting-tree label %d", v, self, nt.Label(v))
 		}
-		if len(rings) != h.TopLevel()+1 {
-			return nil, fmt.Errorf("labeled: table %d has %d levels, hierarchy has %d", v, len(rings), h.TopLevel()+1)
+		if lo, hi := s.rings.rings(v); hi-lo != h.TopLevel()+1 {
+			return nil, fmt.Errorf("labeled: table %d has %d levels, hierarchy has %d", v, hi-lo, h.TopLevel()+1)
 		}
-		s.rings[v] = rings
 		s.tblBit[v] = nbit
 	}
+	s.rings.seal()
 	return s, nil
 }
 
-// parseSimpleTable parses one EncodeTable blob back into ring levels.
-func parseSimpleTable(tbl []byte, nbit, idBits, n int) (int32, [][]ringEntry, error) {
+// parseSimpleTable parses one EncodeTable blob and appends its rings to
+// the arena as the next node, each sorted into lookup order; it
+// returns the table's self label.
+func parseSimpleTable(a *ringArena, tbl []byte, nbit, idBits, n int) (int32, error) {
 	r := bits.NewReader(tbl, nbit)
 	levels, err := r.ReadUvarint()
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if levels > uint64(nbit) {
-		return 0, nil, fmt.Errorf("level count %d exceeds stream", levels)
+		return 0, fmt.Errorf("level count %d exceeds stream", levels)
 	}
 	self, err := r.ReadBits(idBits)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if self >= uint64(n) {
-		return 0, nil, fmt.Errorf("self label %d out of range", self)
+		return 0, fmt.Errorf("self label %d out of range", self)
 	}
-	rings := make([][]ringEntry, levels)
-	for l := range rings {
+	for l := 0; l < int(levels); l++ {
 		count, err := r.ReadUvarint()
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		if count*uint64(ringBits(idBits)) > uint64(r.Remaining()) {
-			return 0, nil, fmt.Errorf("level %d entry count %d exceeds stream", l, count)
+			return 0, fmt.Errorf("level %d entry count %d exceeds stream", l, count)
 		}
-		ring := make([]ringEntry, count)
-		for k := range ring {
+		for k := 0; k < int(count); k++ {
 			var e ringEntry
 			for _, dst := range []*int32{&e.x, &e.lo, &e.hi, &e.next} {
 				f, err := r.ReadBits(idBits)
 				if err != nil {
-					return 0, nil, err
+					return 0, err
 				}
 				*dst = int32(f)
 			}
-			far, err := r.ReadBit()
-			if err != nil {
-				return 0, nil, err
+			if e.far, err = r.ReadBit(); err != nil {
+				return 0, err
 			}
-			e.far = far
-			ring[k] = e
+			a.entries = append(a.entries, e)
 		}
-		rings[l] = ring
+		if err := sortByLo(a.closeRing()); err != nil {
+			return 0, fmt.Errorf("level %d: %w", l, err)
+		}
 	}
 	if r.Remaining() != 0 {
-		return 0, nil, fmt.Errorf("%d trailing bits", r.Remaining())
+		return 0, fmt.Errorf("%d trailing bits", r.Remaining())
 	}
-	return int32(self), rings, nil
+	a.endNode()
+	return int32(self), nil
 }
 
 // EncodeSnapshot serializes the ScaleFree scheme: parameters, the
@@ -152,12 +153,15 @@ func (s *ScaleFree) EncodeSnapshot(w *bits.Writer) {
 	rnet.EncodeHierarchy(w, s.h)
 	s.pk.Encode(w)
 	for v := 0; v < n; v++ {
-		w.WriteUvarint(uint64(len(s.levels[v])))
-		for _, lv := range s.levels[v] {
+		lo, hi := s.rings.rings(v)
+		w.WriteUvarint(uint64(hi - lo))
+		for k := lo; k < hi; k++ {
+			lv, ring := s.levels[k], s.rings.ring(k)
 			w.WriteUvarint(uint64(lv.i))
 			w.WriteUvarint(uint64(lv.j))
-			w.WriteUvarint(uint64(len(lv.entries)))
-			for _, e := range lv.entries {
+			w.WriteUvarint(uint64(len(ring)))
+			for _, c := range s.stored[s.rings.start[k]:s.rings.start[k+1]] {
+				e := ring[c]
 				w.WriteUvarint(uint64(e.x))
 				w.WriteUvarint(uint64(e.lo))
 				w.WriteUvarint(uint64(e.hi))
@@ -212,7 +216,7 @@ func RestoreScaleFree(r *bits.Reader, g *graph.Graph, a metric.Distancer) (*Scal
 		eps:    eps,
 		idBits: bits.UintBits(n),
 	}
-	s.levels = make([][]sfLevel, n)
+	s.rings = newRingArena(n, 0, 0)
 	for v := 0; v < n; v++ {
 		cnt, err := r.ReadUvarint()
 		if err != nil {
@@ -221,8 +225,7 @@ func RestoreScaleFree(r *bits.Reader, g *graph.Graph, a metric.Distancer) (*Scal
 		if cnt > uint64(h.TopLevel()+1) {
 			return nil, fmt.Errorf("labeled: node %d stores %d levels", v, cnt)
 		}
-		lvs := make([]sfLevel, cnt)
-		for li := range lvs {
+		for li := 0; li < int(cnt); li++ {
 			iv, err := r.ReadUvarint()
 			if err != nil {
 				return nil, err
@@ -241,8 +244,7 @@ func RestoreScaleFree(r *bits.Reader, g *graph.Graph, a metric.Distancer) (*Scal
 			if ec*33 > uint64(r.Remaining()) {
 				return nil, fmt.Errorf("labeled: node %d ring count %d exceeds stream", v, ec)
 			}
-			entries := make([]ringEntry, ec)
-			for k := range entries {
+			for k := 0; k < int(ec); k++ {
 				var e ringEntry
 				for _, dst := range []*int32{&e.x, &e.lo, &e.hi, &e.next} {
 					f, err := r.ReadUvarint()
@@ -254,17 +256,19 @@ func RestoreScaleFree(r *bits.Reader, g *graph.Graph, a metric.Distancer) (*Scal
 					}
 					*dst = int32(f)
 				}
-				far, err := r.ReadBit()
-				if err != nil {
+				if e.far, err = r.ReadBit(); err != nil {
 					return nil, err
 				}
-				e.far = far
-				entries[k] = e
+				s.rings.entries = append(s.rings.entries, e)
 			}
-			lvs[li] = sfLevel{i: int(iv), j: int(jv), entries: entries}
+			if s.stored, err = sortByLoTracked(s.rings.closeRing(), s.stored); err != nil {
+				return nil, fmt.Errorf("labeled: node %d level %d: %w", v, iv, err)
+			}
+			s.levels = append(s.levels, sfLevel{i: int32(iv), j: int32(jv)})
 		}
-		s.levels[v] = lvs
+		s.rings.endNode()
 	}
+	s.rings.seal()
 	maxJ := pk.MaxJ()
 	s.ownerBall = make([][]int32, maxJ+1)
 	for j := 0; j <= maxJ; j++ {

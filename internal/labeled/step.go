@@ -40,22 +40,25 @@ func (s *Simple) PrepareHeader(label int) (SimpleHeader, error) {
 // and the updated header, or arrived == true when w is the
 // destination.
 func (s *Simple) Step(w int, h SimpleHeader) (next int, nh SimpleHeader, arrived bool, err error) {
-	label := int(h.Label)
-	if s.nt.Label(w) == label {
+	label := h.Label
+	if s.nt.Label(w) == int(label) {
 		return 0, h, true, nil
 	}
+	var e *ringEntry
 	if h.Target < 0 || int(h.Target) == w {
 		// (Re)acquire: minimal hit level at w.
-		i, e, ok := s.minimalHit(w, label)
+		i, hit, ok := s.rings.minimalHit(w, label)
 		if !ok {
 			return 0, h, false, fmt.Errorf("labeled: node %d has no ring hit for label %d", w, label)
 		}
-		if int(e.x) == w {
+		if int(hit.x) == w {
 			return 0, h, false, fmt.Errorf("labeled: self target at %d level %d", w, i)
 		}
-		h.Target, h.Level = e.x, int32(i)
+		h.Target, h.Level = hit.x, int32(i)
+		e = hit
+	} else if lo, hi := s.rings.rings(w); h.Level >= 0 && lo+int(h.Level) < hi {
+		e = s.rings.find(lo+int(h.Level), label)
 	}
-	e := findEntry(s.rings[w][h.Level], label)
 	if e == nil || e.x != h.Target {
 		return 0, h, false, fmt.Errorf("labeled: relay %d lost target %d at level %d", w, h.Target, h.Level)
 	}

@@ -117,11 +117,10 @@ func (b *base) routeToLabel(tr *core.Trace, label int) error {
 // references (id + range + label), its subtree range, and its stored
 // pairs (name + label).
 func (b *base) treeStorageBits(t *searchtree.Tree[int]) {
-	for _, v := range t.Members {
-		nd := t.Nodes[v]
+	for p, v := range t.Members {
 		cost := 2*b.idBits + 2*b.nameBits // parent id+label, own key range
-		cost += len(nd.Children) * (2*b.idBits + 2*b.nameBits)
-		cost += len(nd.Pairs) * (b.nameBits + b.idBits)
+		cost += len(t.Children(p)) * (2*b.idBits + 2*b.nameBits)
+		cost += len(t.Pairs(p)) * (b.nameBits + b.idBits)
 		b.tblBits[v] += cost
 	}
 }

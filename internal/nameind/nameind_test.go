@@ -192,7 +192,7 @@ func TestSimpleAdversarialNaming(t *testing.T) {
 
 func TestSimpleRejectsBadInputs(t *testing.T) {
 	f := geoFixture(t, 30, 3)
-	nm := IdentityNaming(f.g.N())
+	nm := identityNaming(f.g.N())
 	under, err := labeled.NewSimple(f.g, f.a, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestSimpleRejectsBadInputs(t *testing.T) {
 	if _, err := NewSimple(f.g, f.a, nm, under, 0.5); err == nil {
 		t.Fatal("eps=0.5 accepted")
 	}
-	if _, err := NewSimple(f.g, f.a, IdentityNaming(5), under, 0.25); err == nil {
+	if _, err := NewSimple(f.g, f.a, identityNaming(5), under, 0.25); err == nil {
 		t.Fatal("mismatched naming accepted")
 	}
 	s, err := NewSimple(f.g, f.a, nm, under, 0.25)
@@ -276,8 +276,8 @@ func TestScaleFreeScaleFreedom(t *testing.T) {
 	}
 	fu := fixture{g: unit, a: metric.NewAPSP(unit)}
 	fe := fixture{g: expo, a: metric.NewAPSP(expo)}
-	su := newScaleFreeScheme(t, fu, IdentityNaming(64), 0.25)
-	se := newScaleFreeScheme(t, fe, IdentityNaming(64), 0.25)
+	su := newScaleFreeScheme(t, fu, identityNaming(64), 0.25)
+	se := newScaleFreeScheme(t, fe, identityNaming(64), 0.25)
 	tu := core.Tables(su.TableBits, 64)
 	te := core.Tables(se.TableBits, 64)
 	if ratio := float64(te.MaxBits) / float64(tu.MaxBits); ratio > 4 {
@@ -285,8 +285,8 @@ func TestScaleFreeScaleFreedom(t *testing.T) {
 			ratio, tu.MaxBits, te.MaxBits)
 	}
 	// The simple scheme, by contrast, must grow markedly.
-	ssu := newSimpleScheme(t, fu, IdentityNaming(64), 0.25)
-	sse := newSimpleScheme(t, fe, IdentityNaming(64), 0.25)
+	ssu := newSimpleScheme(t, fu, identityNaming(64), 0.25)
+	sse := newSimpleScheme(t, fe, identityNaming(64), 0.25)
 	tsu := core.Tables(ssu.TableBits, 64)
 	tse := core.Tables(sse.TableBits, 64)
 	if tse.MaxBits <= tsu.MaxBits {
@@ -301,7 +301,7 @@ func TestScaleFreeRequiresPackingProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewScaleFree(f.g, f.a, IdentityNaming(f.g.N()), under, 0.25); err == nil {
+	if _, err := NewScaleFree(f.g, f.a, identityNaming(f.g.N()), under, 0.25); err == nil {
 		t.Fatal("accepted an underlying scheme without a packing")
 	}
 }
@@ -325,4 +325,14 @@ func TestBothSchemesAgreeOnDelivery(t *testing.T) {
 			t.Fatalf("schemes disagree on destination for %v", p)
 		}
 	}
+}
+
+// identityNaming names every node by its id.
+func identityNaming(n int) *Naming {
+	names := make([]int, n)
+	for i := range names {
+		names[i] = i
+	}
+	nm, _ := NewNaming(names)
+	return nm
 }

@@ -61,16 +61,6 @@ func NewNaming(nameOf []int) (*Naming, error) {
 	return out, nil
 }
 
-// IdentityNaming names every node by its id.
-func IdentityNaming(n int) *Naming {
-	names := make([]int, n)
-	for i := range names {
-		names[i] = i
-	}
-	nm, _ := NewNaming(names)
-	return nm
-}
-
 // RandomNaming names nodes by a seeded random permutation of [0, n).
 func RandomNaming(n int, seed int64) *Naming {
 	nm, _ := NewNaming(rand.New(rand.NewSource(seed)).Perm(n))

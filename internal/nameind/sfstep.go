@@ -188,15 +188,15 @@ func (s *ScaleFree) Step(w int, h SFNIHeader) (next int, nh SFNIHeader, arrived 
 			if err != nil {
 				return 0, h, false, err
 			}
-			nd := t.Nodes[w]
-			if nd == nil {
+			p := t.Pos(w)
+			if p < 0 {
 				return 0, h, false, fmt.Errorf("nameind: node %d outside active search tree", w)
 			}
 			descended := false
-			for _, c := range nd.Children {
+			for _, c := range t.Children(p) {
 				if !c.Empty && c.Lo <= name && name <= c.Hi {
 					descended = true
-					if h, err = s.sfBeginWalk(h, c.ID); err != nil {
+					if h, err = s.sfBeginWalk(h, int(c.ID)); err != nil {
 						return 0, h, false, err
 					}
 					break
@@ -205,10 +205,10 @@ func (s *ScaleFree) Step(w int, h SFNIHeader) (next int, nh SFNIHeader, arrived 
 			if descended {
 				continue
 			}
-			for _, p := range nd.Pairs {
-				if p.Key == name {
+			for _, pr := range t.Pairs(p) {
+				if pr.Key == name {
 					h.Found = true
-					h.FoundLabel = int32(p.Data)
+					h.FoundLabel = int32(pr.Data)
 					break
 				}
 			}
@@ -216,7 +216,7 @@ func (s *ScaleFree) Step(w int, h SFNIHeader) (next int, nh SFNIHeader, arrived 
 			if w == t.Center {
 				continue
 			}
-			if h, err = s.sfBeginWalk(h, nd.Parent); err != nil {
+			if h, err = s.sfBeginWalk(h, int(t.At(p).Parent)); err != nil {
 				return 0, h, false, err
 			}
 		case SFNISearchUp:
@@ -225,7 +225,11 @@ func (s *ScaleFree) Step(w int, h SFNIHeader) (next int, nh SFNIHeader, arrived 
 				return 0, h, false, err
 			}
 			if w != t.Center {
-				if h, err = s.sfBeginWalk(h, t.Nodes[w].Parent); err != nil {
+				p := t.Pos(w)
+				if p < 0 {
+					return 0, h, false, fmt.Errorf("nameind: node %d outside active search tree", w)
+				}
+				if h, err = s.sfBeginWalk(h, int(t.At(p).Parent)); err != nil {
 					return 0, h, false, err
 				}
 				continue

@@ -138,15 +138,15 @@ func (s *Simple) Step(w int, h NIHeader) (next int, nh NIHeader, arrived bool, e
 			if t == nil {
 				return 0, h, false, fmt.Errorf("nameind: no search tree at (%d, %d)", h.Level, h.Center)
 			}
-			nd := t.Nodes[w]
-			if nd == nil {
+			p := t.Pos(w)
+			if p < 0 {
 				return 0, h, false, fmt.Errorf("nameind: node %d outside search tree (%d, %d)", w, h.Level, h.Center)
 			}
 			descended := false
-			for _, c := range nd.Children {
+			for _, c := range t.Children(p) {
 				if !c.Empty && c.Lo <= name && name <= c.Hi {
 					descended = true
-					if h, err = s.beginWalk(h, c.ID); err != nil {
+					if h, err = s.beginWalk(h, int(c.ID)); err != nil {
 						return 0, h, false, err
 					}
 					break
@@ -155,10 +155,10 @@ func (s *Simple) Step(w int, h NIHeader) (next int, nh NIHeader, arrived bool, e
 			if descended {
 				continue
 			}
-			for _, p := range nd.Pairs {
-				if p.Key == name {
+			for _, pr := range t.Pairs(p) {
+				if pr.Key == name {
 					h.Found = true
-					h.FoundLabel = int32(p.Data)
+					h.FoundLabel = int32(pr.Data)
 					break
 				}
 			}
@@ -166,7 +166,7 @@ func (s *Simple) Step(w int, h NIHeader) (next int, nh NIHeader, arrived bool, e
 			if w == int(h.Center) {
 				continue
 			}
-			if h, err = s.beginWalk(h, nd.Parent); err != nil {
+			if h, err = s.beginWalk(h, int(t.At(p).Parent)); err != nil {
 				return 0, h, false, err
 			}
 		case NIPhaseSearchUp:
@@ -175,7 +175,11 @@ func (s *Simple) Step(w int, h NIHeader) (next int, nh NIHeader, arrived bool, e
 				if t == nil {
 					return 0, h, false, fmt.Errorf("nameind: no search tree at (%d, %d)", h.Level, h.Center)
 				}
-				if h, err = s.beginWalk(h, t.Nodes[w].Parent); err != nil {
+				p := t.Pos(w)
+				if p < 0 {
+					return 0, h, false, fmt.Errorf("nameind: node %d outside search tree (%d, %d)", w, h.Level, h.Center)
+				}
+				if h, err = s.beginWalk(h, int(t.At(p).Parent)); err != nil {
 					return 0, h, false, err
 				}
 				continue

@@ -9,10 +9,10 @@ import (
 	"compactrouting/internal/treeroute"
 )
 
-// Search-tree bit codecs for the snapshot plane. Encoding walks
-// Members (sorted ascending) and each node's Children slice in stored
-// order — never a map — so the stream is a deterministic function of
-// the tree and save→load→save is byte-identical.
+// Search-tree bit codecs for the snapshot plane. Encoding walks the
+// node positions (Members ascending) and each node's child window in
+// stored order, so the stream is a deterministic function of the tree
+// and save→load→save is byte-identical.
 
 // EncodeTree serializes t into w; encData writes one stored datum.
 func EncodeTree[D any](w *bits.Writer, t *Tree[D], encData func(*bits.Writer, D)) {
@@ -32,31 +32,31 @@ func EncodeTree[D any](w *bits.Writer, t *Tree[D], encData func(*bits.Writer, D)
 		}
 	}
 	w.WriteUvarint(uint64(len(t.TailSites)))
-	for _, s := range t.TailSites {
+	for k, s := range t.TailSites {
 		w.WriteUvarint(uint64(s))
-		tail := t.TailOf[s]
-		w.WriteUvarint(uint64(len(tail)))
-		for _, v := range tail {
+		w.WriteUvarint(uint64(len(t.Tails[k])))
+		for _, v := range t.Tails[k] {
 			w.WriteUvarint(uint64(v))
 		}
 	}
-	for _, v := range t.Members {
-		nd := t.Nodes[v]
+	for p := range t.Members {
+		nd := t.At(p)
+		kids, pairs := t.Children(p), t.Pairs(p)
 		w.WriteUvarint(uint64(nd.Parent + 1))
 		w.WriteBits(math.Float64bits(nd.EdgeW), 64)
 		w.WriteUvarint(uint64(nd.Level + 1))
-		w.WriteUvarint(uint64(len(nd.Children)))
-		for _, c := range nd.Children {
+		w.WriteUvarint(uint64(len(kids)))
+		for _, c := range kids {
 			w.WriteUvarint(uint64(c.ID))
 			w.WriteBits(math.Float64bits(c.EdgeW), 64)
 			w.WriteUvarint(uint64(c.Lo))
 			w.WriteUvarint(uint64(c.Hi))
 			w.WriteBit(c.Empty)
 		}
-		w.WriteUvarint(uint64(len(nd.Pairs)))
-		for _, p := range nd.Pairs {
-			w.WriteUvarint(uint64(p.Key))
-			encData(w, p.Data)
+		w.WriteUvarint(uint64(len(pairs)))
+		for _, pr := range pairs {
+			w.WriteUvarint(uint64(pr.Key))
+			encData(w, pr.Data)
 		}
 		w.WriteUvarint(uint64(nd.Lo))
 		w.WriteUvarint(uint64(nd.Hi))
@@ -93,7 +93,6 @@ func DecodeTree[D any](r *bits.Reader, n int, decData func(*bits.Reader) (D, err
 		Radius:    floats[0],
 		Eps:       floats[1],
 		TailEdgeW: floats[2],
-		TailOf:    map[int][]int{},
 	}
 	members, err := readIDList(r, n, n)
 	if err != nil {
@@ -102,8 +101,13 @@ func DecodeTree[D any](r *bits.Reader, n int, decData func(*bits.Reader) (D, err
 	if len(members) < 1 {
 		return nil, fmt.Errorf("searchtree: decoded tree has no members")
 	}
+	for p := 1; p < len(members); p++ {
+		if members[p] <= members[p-1] {
+			return nil, fmt.Errorf("searchtree: members not strictly ascending at %d", members[p])
+		}
+	}
 	t.Members = members
-	t.Nodes = make(map[int]*Node[D], len(members))
+	t.nodes = make([]Node, len(members))
 	nl, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
@@ -139,22 +143,18 @@ func DecodeTree[D any](r *bits.Reader, n int, decData func(*bits.Reader) (D, err
 			return nil, err
 		}
 		t.TailSites = append(t.TailSites, int(s))
-		t.TailOf[int(s)] = tail
+		t.Tails = append(t.Tails, tail)
 	}
-	childTotal := 0
-	for _, v := range members {
-		if _, dup := t.Nodes[v]; dup {
-			return nil, fmt.Errorf("searchtree: duplicate member %d", v)
-		}
-		nd := &Node[D]{}
-		p, err := r.ReadUvarint()
+	for p, v := range members {
+		nd := &t.nodes[p]
+		pv, err := r.ReadUvarint()
 		if err != nil {
 			return nil, err
 		}
-		if p > uint64(n) {
+		if pv > uint64(n) {
 			return nil, fmt.Errorf("searchtree: node %d parent out of range", v)
 		}
-		nd.Parent = int(p) - 1
+		nd.Parent = int32(pv) - 1
 		ew, err := r.ReadBits(64)
 		if err != nil {
 			return nil, err
@@ -167,17 +167,17 @@ func DecodeTree[D any](r *bits.Reader, n int, decData func(*bits.Reader) (D, err
 		if lv > uint64(len(members))+1 {
 			return nil, fmt.Errorf("searchtree: node %d level out of range", v)
 		}
-		nd.Level = int(lv) - 1
+		nd.Level = int32(lv) - 1
 		cc, err := r.ReadUvarint()
 		if err != nil {
 			return nil, err
 		}
-		if cc > uint64(len(members)) {
+		if cc > uint64(len(members)) || len(t.kids)+int(cc) > len(members) {
 			return nil, fmt.Errorf("searchtree: node %d has %d children", v, cc)
 		}
-		nd.Children = make([]ChildRef, cc)
-		for i := range nd.Children {
-			c := &nd.Children[i]
+		nd.kids[0] = int32(len(t.kids))
+		for i := 0; i < int(cc); i++ {
+			var c ChildRef
 			id, err := r.ReadUvarint()
 			if err != nil {
 				return nil, err
@@ -185,26 +185,22 @@ func DecodeTree[D any](r *bits.Reader, n int, decData func(*bits.Reader) (D, err
 			if id >= uint64(n) {
 				return nil, fmt.Errorf("searchtree: node %d child out of range", v)
 			}
-			c.ID = int(id)
+			c.ID = int32(id)
 			cw, err := r.ReadBits(64)
 			if err != nil {
 				return nil, err
 			}
 			c.EdgeW = math.Float64frombits(cw)
-			lo, err := r.ReadUvarint()
-			if err != nil {
+			if c.Lo, c.Hi, err = readKeyRange(r); err != nil {
 				return nil, err
 			}
-			hi, err := r.ReadUvarint()
-			if err != nil {
-				return nil, err
-			}
-			c.Lo, c.Hi = int(lo), int(hi)
 			c.Empty, err = r.ReadBit()
 			if err != nil {
 				return nil, err
 			}
+			t.kids = append(t.kids, c)
 		}
+		nd.kids[1] = int32(len(t.kids))
 		pc, err := r.ReadUvarint()
 		if err != nil {
 			return nil, err
@@ -214,8 +210,8 @@ func DecodeTree[D any](r *bits.Reader, n int, decData func(*bits.Reader) (D, err
 		if pc*8 > uint64(r.Remaining()) {
 			return nil, fmt.Errorf("searchtree: node %d pair count %d exceeds stream", v, pc)
 		}
-		nd.Pairs = make([]Pair[D], pc)
-		for i := range nd.Pairs {
+		nd.pairs[0] = int32(len(t.pairs))
+		for i := 0; i < int(pc); i++ {
 			k, err := r.ReadUvarint()
 			if err != nil {
 				return nil, err
@@ -224,54 +220,68 @@ func DecodeTree[D any](r *bits.Reader, n int, decData func(*bits.Reader) (D, err
 			if err != nil {
 				return nil, err
 			}
-			nd.Pairs[i] = Pair[D]{Key: int(k), Data: d}
+			t.pairs = append(t.pairs, Pair[D]{Key: int(k), Data: d})
 		}
-		lo, err := r.ReadUvarint()
-		if err != nil {
+		nd.pairs[1] = int32(len(t.pairs))
+		if nd.Lo, nd.Hi, err = readKeyRange(r); err != nil {
 			return nil, err
 		}
-		hi, err := r.ReadUvarint()
-		if err != nil {
-			return nil, err
-		}
-		nd.Lo, nd.Hi = int(lo), int(hi)
 		nd.SubEmpty, err = r.ReadBit()
 		if err != nil {
 			return nil, err
 		}
-		t.Nodes[v] = nd
-		childTotal += len(nd.Children)
 	}
 	// Structural checks: child references resolve, and every member is
-	// reachable from the center through the Children slices (so Search
+	// reachable from the center through the child windows (so Search
 	// terminates on any decoded tree).
-	if childTotal != len(members)-1 {
-		return nil, fmt.Errorf("searchtree: %d child edges for %d members", childTotal, len(members))
+	if len(t.kids) != len(members)-1 {
+		return nil, fmt.Errorf("searchtree: %d child edges for %d members", len(t.kids), len(members))
 	}
-	if _, ok := t.Nodes[t.Center]; !ok {
+	cp := t.Pos(t.Center)
+	if cp < 0 {
 		return nil, fmt.Errorf("searchtree: center %d not a member", t.Center)
 	}
-	seen := make(map[int]bool, len(members))
-	stack := []int{t.Center}
-	seen[t.Center] = true
+	for i := range t.kids {
+		c := &t.kids[i]
+		p := t.Pos(int(c.ID))
+		if p < 0 {
+			return nil, fmt.Errorf("searchtree: child %d not a member", c.ID)
+		}
+		c.Pos = int32(p)
+	}
+	seen := make([]bool, len(members))
+	stack := []int{cp}
+	seen[cp] = true
+	reached := 1
 	for len(stack) > 0 {
-		v := stack[len(stack)-1]
+		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range t.Nodes[v].Children {
-			if _, ok := t.Nodes[c.ID]; !ok {
-				return nil, fmt.Errorf("searchtree: child %d of %d not a member", c.ID, v)
-			}
-			if seen[c.ID] {
+		for _, c := range t.Children(p) {
+			if seen[c.Pos] {
 				return nil, fmt.Errorf("searchtree: node %d reached twice", c.ID)
 			}
-			seen[c.ID] = true
-			stack = append(stack, c.ID)
+			seen[c.Pos] = true
+			reached++
+			stack = append(stack, int(c.Pos))
 		}
 	}
-	if len(seen) != len(members) {
-		return nil, fmt.Errorf("searchtree: only %d of %d members reachable from center", len(seen), len(members))
+	if reached != len(members) {
+		return nil, fmt.Errorf("searchtree: only %d of %d members reachable from center", reached, len(members))
 	}
 	return t, nil
+}
+
+// readKeyRange reads a uvarint key range [lo, hi].
+func readKeyRange(r *bits.Reader) (int, int, error) {
+	lo, err := r.ReadUvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	hi, err := r.ReadUvarint()
+	if err != nil {
+		return 0, 0, err
+	}
+	return int(lo), int(hi), nil
 }
 
 // readIDList reads a uvarint count bounded by max, then that many
@@ -299,12 +309,12 @@ func readIDList(r *bits.Reader, n, max int) ([]int, error) {
 }
 
 // EncodeRealizer serializes r into w. The companion tree supplies the
-// deterministic iteration order (tail sites and tails); the realizer's
-// own maps are only probed by key. The oracle is not serialized — the
+// deterministic iteration order (tail sites and tails); the storage
+// map is only probed by key. The oracle is not serialized — the
 // decoder rebinds to one.
 func EncodeRealizer[D any](w *bits.Writer, r *PathRealizer, t *Tree[D], n int) {
-	for _, s := range t.TailSites {
-		treeroute.EncodeScheme(w, r.tailScheme[s], n)
+	for k := range t.TailSites {
+		treeroute.EncodeScheme(w, r.tails[k], n)
 	}
 	for v := 0; v < n; v++ {
 		w.WriteUvarint(uint64(r.storage[v]))
@@ -316,21 +326,20 @@ func EncodeRealizer[D any](w *bits.Writer, r *PathRealizer, t *Tree[D], n int) {
 // companion tree.
 func DecodeRealizer[D any](r *bits.Reader, a metric.Distancer, t *Tree[D]) (*PathRealizer, error) {
 	n := a.N()
-	rz := &PathRealizer{
-		a:          a,
-		tailScheme: map[int]*treeroute.Scheme{},
-		tailSiteOf: map[int]int{},
-		storage:    map[int]int{},
+	for k, s := range t.TailSites {
+		for _, v := range t.Tails[k] {
+			if t.Pos(v) < 0 {
+				return nil, fmt.Errorf("searchtree: tail node %d at site %d not a member", v, s)
+			}
+		}
 	}
-	for _, s := range t.TailSites {
+	rz := newPathRealizer(a, t)
+	for k, s := range t.TailSites {
 		sch, err := treeroute.DecodeScheme(r, n)
 		if err != nil {
 			return nil, fmt.Errorf("searchtree: tail scheme at site %d: %w", s, err)
 		}
-		rz.tailScheme[s] = sch
-		for _, v := range t.TailOf[s] {
-			rz.tailSiteOf[v] = s
-		}
+		rz.tails[k] = sch
 	}
 	for v := 0; v < n; v++ {
 		b, err := r.ReadUvarint()

@@ -91,8 +91,8 @@ func TestQuickQuotaBalance(t *testing.T) {
 		}
 		tr.Store(pairs)
 		lo, hi := k/m, (k+m-1)/m
-		for _, nd := range tr.Nodes {
-			if len(nd.Pairs) < lo || len(nd.Pairs) > hi {
+		for p := range tr.Members {
+			if n := len(tr.Pairs(p)); n < lo || n > hi {
 				return false
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"compactrouting/internal/bits"
+	"compactrouting/internal/bsearch"
 	"compactrouting/internal/metric"
 	"compactrouting/internal/treeroute"
 )
@@ -24,13 +25,49 @@ import (
 // entries would cost per node.
 type PathRealizer struct {
 	a metric.Distancer
-	// tailScheme[s] is the tree-routing scheme on site s's Voronoi
-	// region (nil when the tree has no tails).
-	tailScheme map[int]*treeroute.Scheme
-	// tailSiteOf[v] = s when v is a tail node under site s.
-	tailSiteOf map[int]int
+	// members are the tree's members by position (shared with it).
+	members []int
+	// tails[k] is the tree-routing scheme on the Voronoi region of the
+	// tree's k-th tail site.
+	tails []*treeroute.Scheme
+	// tailOf[p] = k when the member at position p is a tail node under
+	// the k-th tail site, -1 otherwise (nil when the tree has no
+	// tails).
+	tailOf []int32
 	// storage[x] = bits of realization state held at graph node x.
 	storage map[int]int
+}
+
+// newPathRealizer returns a realizer over t's members with its tail
+// index sized for t's tails, and no schemes yet.
+func newPathRealizer[D any](a metric.Distancer, t *Tree[D]) *PathRealizer {
+	r := &PathRealizer{a: a, members: t.Members, storage: map[int]int{}}
+	if len(t.TailSites) > 0 {
+		r.tails = make([]*treeroute.Scheme, len(t.TailSites))
+		r.tailOf = make([]int32, len(t.Members))
+		for p := range r.tailOf {
+			r.tailOf[p] = -1
+		}
+		for k, tail := range t.Tails {
+			for _, v := range tail {
+				r.tailOf[t.Pos(v)] = int32(k)
+			}
+		}
+	}
+	return r
+}
+
+// tailScheme returns the tail scheme whose region holds v as a tail
+// node, or nil when v is not a tail node of the tree.
+func (r *PathRealizer) tailScheme(v int) *treeroute.Scheme {
+	if r.tailOf == nil {
+		return nil
+	}
+	p := bsearch.Index(r.members, v)
+	if p < 0 || r.tailOf[p] < 0 {
+		return nil
+	}
+	return r.tails[r.tailOf[p]]
 }
 
 // NewRealizer builds the physical realizer for a search tree. The
@@ -39,28 +76,23 @@ type PathRealizer struct {
 // shortest-path forest (metric.Voronoi has exactly this shape); it is
 // only invoked when the tree has tails.
 func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites []int) ([]int, []int)) (*PathRealizer, error) {
-	r := &PathRealizer{
-		a:          a,
-		tailScheme: map[int]*treeroute.Scheme{},
-		tailSiteOf: map[int]int{},
-		storage:    map[int]int{},
-	}
+	r := newPathRealizer(a, t)
 	idBits := bits.UintBits(a.N())
 	// Net edges: charge interior nodes one shared up-entry per level
 	// plus one down-entry per descending edge (Lemma 4.3's layout).
 	type upKey struct{ node, level int }
 	upSeen := map[upKey]bool{}
-	for _, v := range t.Members {
-		nd := t.Nodes[v]
+	for p, v := range t.Members {
+		nd := t.At(p)
 		if nd.Parent < 0 || nd.Level < 0 {
 			continue // root or tail edge
 		}
-		path := pathBetween(a, nd.Parent, v)
+		path := pathBetween(a, int(nd.Parent), v)
 		for _, x := range path[1 : len(path)-1] {
 			// Down entry: target v -> next hop (2 ids).
 			r.storage[x] += 2 * idBits
 			// Up entry: one per (node, level).
-			k := upKey{x, nd.Level}
+			k := upKey{x, int(nd.Level)}
 			if !upSeen[k] {
 				upSeen[k] = true
 				r.storage[x] += 2 * idBits
@@ -71,7 +103,7 @@ func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites
 	// region.
 	if len(t.TailSites) > 0 {
 		owner, parent := voronoiParent(t.TailSites)
-		for _, s := range t.TailSites {
+		for k, s := range t.TailSites {
 			// Extract the parent forest restricted to s's region.
 			pa := make([]int, a.N())
 			for i := range pa {
@@ -87,7 +119,7 @@ func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites
 			if err != nil {
 				return nil, fmt.Errorf("searchtree: tail scheme at site %d: %w", s, err)
 			}
-			r.tailScheme[s] = sch
+			r.tails[k] = sch
 			for v := 0; v < a.N(); v++ {
 				if pa[v] != treeroute.NotInTree {
 					r.storage[v] += sch.TableBits(v)
@@ -96,8 +128,7 @@ func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites
 			// Endpoints of tail virtual edges keep each other's local
 			// labels.
 			prev := s
-			for _, v := range t.TailOf[s] {
-				r.tailSiteOf[v] = s
+			for _, v := range t.Tails[k] {
 				r.storage[prev] += sch.LabelBits(v)
 				r.storage[v] += sch.LabelBits(prev)
 				prev = v
@@ -110,11 +141,12 @@ func NewRealizer[D any](a metric.Distancer, t *Tree[D], voronoiParent func(sites
 // Walk returns the physical node path realizing the virtual edge
 // between adjacent tree nodes from and to (either direction).
 func (r *PathRealizer) Walk(from, to int) ([]int, error) {
-	if s, ok := r.tailSiteOf[from]; ok {
-		return r.tailScheme[s].Route(from, r.tailScheme[s].Label(to))
+	sch := r.tailScheme(from)
+	if sch == nil {
+		sch = r.tailScheme(to)
 	}
-	if s, ok := r.tailSiteOf[to]; ok {
-		return r.tailScheme[s].Route(from, r.tailScheme[s].Label(to))
+	if sch != nil {
+		return sch.Route(from, sch.Label(to))
 	}
 	return pathBetween(r.a, from, to), nil
 }
@@ -142,12 +174,11 @@ func (r *PathRealizer) NextHopToward(at, target int) (int, error) {
 	if at == target {
 		return 0, fmt.Errorf("searchtree: NextHopToward(%d, %d): already there", at, target)
 	}
-	site, ok := r.tailSiteOf[target]
-	if !ok {
-		site, ok = r.tailSiteOf[at]
+	sch := r.tailScheme(target)
+	if sch == nil {
+		sch = r.tailScheme(at)
 	}
-	if ok {
-		sch := r.tailScheme[site]
+	if sch != nil {
 		next, arrived, err := sch.NextHop(at, sch.Label(target))
 		if err != nil {
 			return 0, err

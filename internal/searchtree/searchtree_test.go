@@ -39,27 +39,29 @@ func TestTreeCoversBall(t *testing.T) {
 		t.Fatalf("tree has %d members, ball has %d", len(tr.Members), len(ball))
 	}
 	for _, v := range ball {
-		if _, ok := tr.Nodes[v]; !ok {
+		if tr.Pos(v) < 0 {
 			t.Fatalf("ball node %d missing from tree", v)
 		}
 	}
 	// Every non-root node's parent is a tree node one level up.
-	for v, nd := range tr.Nodes {
+	for pos, v := range tr.Members {
+		nd := tr.At(pos)
 		if v == tr.Center {
 			if nd.Parent != -1 {
 				t.Fatal("center has a parent")
 			}
 			continue
 		}
-		p, ok := tr.Nodes[nd.Parent]
-		if !ok {
+		pp := tr.Pos(int(nd.Parent))
+		if pp < 0 {
 			t.Fatalf("node %d parent %d not in tree", v, nd.Parent)
 		}
+		p := tr.At(pp)
 		if nd.Level >= 0 && p.Level != nd.Level-1 {
 			t.Fatalf("node %d at level %d has parent at level %d", v, nd.Level, p.Level)
 		}
-		if nd.Level >= 0 && math.Abs(nd.EdgeW-a.Dist(v, nd.Parent)) > 1e-9 {
-			t.Fatalf("edge weight %v != distance %v", nd.EdgeW, a.Dist(v, nd.Parent))
+		if nd.Level >= 0 && math.Abs(nd.EdgeW-a.Dist(v, int(nd.Parent))) > 1e-9 {
+			t.Fatalf("edge weight %v != distance %v", nd.EdgeW, a.Dist(v, int(nd.Parent)))
 		}
 	}
 }
@@ -111,7 +113,7 @@ func TestStoreAndSearchAll(t *testing.T) {
 		}
 		// Trail must follow parent-child virtual edges.
 		for i := 1; i < len(trail); i++ {
-			if tr.Nodes[trail[i]].Parent != trail[i-1] {
+			if int(tr.At(tr.Pos(trail[i])).Parent) != trail[i-1] {
 				t.Fatalf("trail hop %d -> %d is not a tree edge", trail[i-1], trail[i])
 			}
 		}
@@ -145,9 +147,9 @@ func TestStoreQuotaEven(t *testing.T) {
 		pairs[i] = Pair[int]{Key: i, Data: i}
 	}
 	tr.Store(pairs)
-	for v, nd := range tr.Nodes {
-		if len(nd.Pairs) != 4 {
-			t.Fatalf("node %d holds %d pairs, want 4", v, len(nd.Pairs))
+	for p, v := range tr.Members {
+		if n := len(tr.Pairs(p)); n != 4 {
+			t.Fatalf("node %d holds %d pairs, want 4", v, n)
 		}
 	}
 	// And every key must be retrievable.
@@ -162,7 +164,7 @@ func TestStoreQuotaEven(t *testing.T) {
 func virtualCost[D any](t *Tree[D], trail []int) float64 {
 	c := 0.0
 	for i := 1; i < len(trail); i++ {
-		c += t.Nodes[trail[i]].EdgeW
+		c += t.At(t.Pos(trail[i])).EdgeW
 	}
 	return c
 }
@@ -214,10 +216,10 @@ func TestCappedLevelsBuildTails(t *testing.T) {
 		t.Fatalf("capped tree lost members: %d vs %d", len(tr.Members), len(ball))
 	}
 	tails := 0
-	for _, s := range tr.TailSites {
-		tails += len(tr.TailOf[s])
+	for k, s := range tr.TailSites {
+		tails += len(tr.Tails[k])
 		// Tail nodes must be assigned to their nearest site.
-		for _, v := range tr.TailOf[s] {
+		for _, v := range tr.Tails[k] {
 			got, _ := a.Nearest(v, tr.Levels[len(tr.Levels)-1])
 			if got != s {
 				t.Fatalf("tail node %d under site %d, nearest is %d", v, s, got)

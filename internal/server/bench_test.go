@@ -3,7 +3,9 @@ package server
 import (
 	"testing"
 
+	"compactrouting"
 	"compactrouting/internal/core"
+	"compactrouting/internal/frame"
 )
 
 // BenchmarkServerRouteCached measures the hot path when every query is
@@ -61,4 +63,35 @@ func BenchmarkServerRouteUncached(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWalk measures one uncached RouteLite per iteration, per
+// scheme, over geo-cold's network (geometric, n=1024, seed 1, dense):
+// every query walks the scheme's step function hop by hop over tables
+// far larger than a core's cache, so the per-hop table reads show.
+// BenchmarkServerRouteUncached's tiny engine fits in cache and cannot.
+// The pair sample is fixed, so ns/op compares across trees.
+func BenchmarkWalk(b *testing.B) {
+	eng, err := New(Config{
+		Build: func(seed int64) (*compactrouting.Network, error) {
+			return compactrouting.GenerateNetwork("geometric", 1024, seed, compactrouting.BackendDense)
+		},
+		Seed: 1,
+		Eps:  0.25,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := core.SamplePairs(eng.Graph().Nodes, 4096, 3)
+	for idx, name := range SchemeNames {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if r := eng.RouteLite(idx, p[0], p[1]); r.Status != frame.StatusOK {
+					b.Fatalf("%s %d->%d: status %v", name, p[0], p[1], r.Status)
+				}
+			}
+		})
+	}
 }

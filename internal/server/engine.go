@@ -291,13 +291,17 @@ func (e *Engine) build(seed int64, gen uint64) (*state, error) {
 		return nil, fmt.Errorf("server: build network: %w", err)
 	}
 	st := newState(nw, seed, gen)
-	// Schemes compile independently (shared graph/oracle are read-only),
-	// so the whole set builds in parallel on startup and /reload; the
-	// ordered MapErr keeps compile order — and any error — identical to
-	// the serial loop it replaced.
+	subs, err := buildSubstrates(e.cfg.Schemes, nw.Graph(), nw.Distancer(), e.cfg.Eps)
+	if err != nil {
+		return nil, err
+	}
+	// Schemes compile independently (shared graph/oracle/substrates are
+	// read-only), so the whole set builds in parallel on startup and
+	// /reload; the ordered MapErr keeps compile order — and any error —
+	// identical to the serial loop it replaced.
 	compiled, err := par.MapErr(len(e.cfg.Schemes), func(i int) (*scheme, error) {
 		name := e.cfg.Schemes[i]
-		s, err := compileScheme(name, nw.Graph(), nw.Distancer(), e.cfg.Eps, seed, e.chaos)
+		s, err := compileScheme(name, nw.Graph(), nw.Distancer(), e.cfg.Eps, seed, subs, e.chaos)
 		if err != nil {
 			return nil, fmt.Errorf("server: compile %s: %w", name, err)
 		}
@@ -310,6 +314,76 @@ func (e *Engine) build(seed int64, gen uint64) (*state, error) {
 		st.add(s)
 	}
 	return st, nil
+}
+
+// substrateKey names one labeled substrate: its kind and clamped eps.
+type substrateKey struct {
+	scaleFree bool
+	eps       float64
+}
+
+// substrate is one built labeled scheme and its build time.
+type substrate struct {
+	impl   nameind.Underlying
+	millis float64
+}
+
+// substrateOf returns the labeled scheme a served scheme is, or is
+// built over, at the engine's eps (ok false for the baselines). The
+// clamps are the schemes' eps ranges: simple-labeled takes eps up to
+// 1/2, its name-independent use up to 1/3, and both scale-free schemes
+// up to 1/4.
+func substrateOf(name string, eps float64) (substrateKey, bool) {
+	switch name {
+	case "simple-labeled":
+		return substrateKey{false, clamp(eps, 0.5)}, true
+	case "name-independent":
+		return substrateKey{false, clamp(eps, 1.0/3)}, true
+	case "scale-free-labeled", "scale-free-name-independent":
+		return substrateKey{true, clamp(eps, 0.25)}, true
+	}
+	return substrateKey{}, false
+}
+
+// buildSubstrates builds, once each and in parallel, the labeled
+// schemes the configured schemes are or stand on. A labeled scheme and
+// the name-independent scheme over it then share one read-only build:
+// at eps = 0.25 that is one labeled.Simple and one labeled.ScaleFree
+// instead of two of each. (At eps in (1/3, 1/2] the two Simple clamps
+// differ, and so do the builds.)
+func buildSubstrates(names []string, g *graph.Graph, a metric.Distancer, eps float64) (map[substrateKey]substrate, error) {
+	var keys []substrateKey
+	seen := map[substrateKey]bool{}
+	for _, name := range names {
+		if k, ok := substrateOf(name, eps); ok && !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	built, err := par.MapErr(len(keys), func(i int) (substrate, error) {
+		start := time.Now()
+		var (
+			impl nameind.Underlying
+			err  error
+		)
+		if keys[i].scaleFree {
+			impl, err = labeled.NewScaleFree(g, a, keys[i].eps)
+		} else {
+			impl, err = labeled.NewSimple(g, a, keys[i].eps)
+		}
+		if err != nil {
+			return substrate{}, fmt.Errorf("server: build substrate %+v: %w", keys[i], err)
+		}
+		return substrate{impl: impl, millis: float64(time.Since(start).Microseconds()) / 1000}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	subs := make(map[substrateKey]substrate, len(keys))
+	for i, k := range keys {
+		subs[k] = built[i]
+	}
+	return subs, nil
 }
 
 // bind wraps a generic Router into the scheme's one runner. addr
@@ -361,41 +435,37 @@ func clamp(eps, hi float64) float64 {
 	return eps
 }
 
-// compileScheme builds one scheme and its adapter-backed runner.
-func compileScheme(name string, g *graph.Graph, a metric.Distancer, eps float64, seed int64, ch *chaosRuntime) (*scheme, error) {
+// compileScheme builds one scheme and its adapter-backed runner. Its
+// build time includes the substrate it stands on, built or not.
+func compileScheme(name string, g *graph.Graph, a metric.Distancer, eps float64, seed int64, subs map[substrateKey]substrate, ch *chaosRuntime) (*scheme, error) {
 	start := time.Now()
-	impl, err := buildScheme(name, g, a, eps, seed)
+	impl, err := buildScheme(name, g, a, eps, seed, subs)
 	if err != nil {
 		return nil, err
 	}
-	return finishScheme(name, impl, g, ch, float64(time.Since(start).Microseconds())/1000)
+	millis := float64(time.Since(start).Microseconds()) / 1000
+	if k, ok := substrateOf(name, eps); ok {
+		millis += subs[k].millis
+	}
+	return finishScheme(name, impl, g, ch, millis)
 }
 
-// buildScheme constructs one scheme implementation from scratch — the
-// only place in the serving layer that invokes the (counted) scheme
-// constructors. The snapshot path replaces this call with
-// snapshot.DecodeScheme and shares everything after it.
-func buildScheme(name string, g *graph.Graph, a metric.Distancer, eps float64, seed int64) (any, error) {
+// buildScheme constructs one scheme implementation — with buildSubstrates,
+// the only place in the serving layer that invokes the (counted) scheme
+// constructors. The labeled schemes are their substrates, and the
+// name-independent ones are built over theirs. The snapshot path
+// replaces this call with snapshot.DecodeScheme and shares everything
+// after it.
+func buildScheme(name string, g *graph.Graph, a metric.Distancer, eps float64, seed int64, subs map[substrateKey]substrate) (any, error) {
 	n := g.N()
+	k, _ := substrateOf(name, eps)
 	switch name {
-	case "simple-labeled":
-		return labeled.NewSimple(g, a, clamp(eps, 0.5))
-	case "scale-free-labeled":
-		return labeled.NewScaleFree(g, a, clamp(eps, 0.25))
+	case "simple-labeled", "scale-free-labeled":
+		return subs[k].impl, nil
 	case "name-independent":
-		ne := clamp(eps, 1.0/3)
-		under, err := labeled.NewSimple(g, a, ne)
-		if err != nil {
-			return nil, err
-		}
-		return nameind.NewSimple(g, a, nameind.RandomNaming(n, seed+2), under, ne)
+		return nameind.NewSimple(g, a, nameind.RandomNaming(n, seed+2), subs[k].impl, k.eps)
 	case "scale-free-name-independent":
-		ne := clamp(eps, 0.25)
-		under, err := labeled.NewScaleFree(g, a, ne)
-		if err != nil {
-			return nil, err
-		}
-		return nameind.NewScaleFree(g, a, nameind.RandomNaming(n, seed+2), under, ne)
+		return nameind.NewScaleFree(g, a, nameind.RandomNaming(n, seed+2), subs[k].impl, k.eps)
 	case "full-table":
 		return baseline.NewFullTable(g, a), nil
 	case "single-tree":

@@ -230,11 +230,13 @@ func (s *TCPServer) handleConn(c net.Conn) {
 			out = s.writeError(c, &w, out, h.RequestID, err.Error())
 			return
 		}
+		// Count the frame before its response goes out, so a client
+		// that reads /metrics after the reply sees it counted.
+		s.e.met.tcpFrames.Add(1)
 		c.SetWriteDeadline(time.Now().Add(frameIOTimeout))
 		if _, err := c.Write(out); err != nil {
 			return
 		}
-		s.e.met.tcpFrames.Add(1)
 		s.e.met.tcpLatency.Observe(time.Since(start))
 	}
 }

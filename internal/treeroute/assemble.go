@@ -23,16 +23,22 @@ type NodeInfo struct {
 // equivalence tests to compare distributed and centralized builds field
 // by field.
 func (s *Scheme) Info(v int) (NodeInfo, bool) {
-	t, ok := s.member[v]
-	if !ok {
+	p := s.idx.pos(v)
+	if p < 0 {
 		return NodeInfo{Parent: NotInTree}, false
 	}
+	return s.infoAt(p), true
+}
+
+// infoAt exports the state of the member at position p.
+func (s *Scheme) infoAt(p int) NodeInfo {
+	t := &s.tables[p]
 	return NodeInfo{
 		In: t.in, Out: t.out,
 		Parent: t.parent, Heavy: t.heavy,
 		HeavyIn: t.heavyIn, HeavyOut: t.heavyOut,
-		Label: s.labels[v],
-	}, true
+		Label: s.labels[p],
+	}
 }
 
 // Assemble compiles a Scheme from per-node state. info is indexed by
@@ -46,11 +52,11 @@ func Assemble(root int, info []NodeInfo) (*Scheme, error) {
 	if root < 0 || root >= len(info) || info[root].Parent != -1 {
 		return nil, fmt.Errorf("treeroute: root %d invalid", root)
 	}
-	s := &Scheme{
-		root:   root,
-		member: make(map[int]*nodeTable),
-		labels: make(map[int]Label),
+	parent := make([]int, len(info))
+	for v := range info {
+		parent[v] = int(info[v].Parent)
 	}
+	s := &Scheme{root: root, idx: newMemberIndex(parent)}
 	for v := range info {
 		ni := info[v]
 		if ni.Parent == NotInTree {
@@ -65,17 +71,16 @@ func Assemble(root int, info []NodeInfo) (*Scheme, error) {
 		if ni.Label.In != ni.In {
 			return nil, fmt.Errorf("treeroute: node %d label In %d != interval In %d", v, ni.Label.In, ni.In)
 		}
-		s.member[v] = &nodeTable{
+		s.tables = append(s.tables, nodeTable{
 			in: ni.In, out: ni.Out,
 			parent: ni.Parent, heavy: ni.Heavy,
 			heavyIn: ni.HeavyIn, heavyOut: ni.HeavyOut,
-		}
-		s.labels[v] = ni.Label
-		s.size++
+		})
+		s.labels = append(s.labels, ni.Label)
 	}
-	if rt := s.member[root]; int(rt.out-rt.in)+1 != s.size {
+	if rt := s.tables[s.idx.pos(root)]; int(rt.out-rt.in)+1 != s.Size() {
 		return nil, fmt.Errorf("treeroute: root interval [%d,%d] does not cover %d members",
-			rt.in, rt.out, s.size)
+			rt.in, rt.out, s.Size())
 	}
 	return s, nil
 }

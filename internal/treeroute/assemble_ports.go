@@ -20,18 +20,24 @@ type PortNodeInfo struct {
 
 // PortInfo exports v's compiled state in PortNodeInfo form.
 func (s *PortScheme) PortInfo(v int) (PortNodeInfo, bool) {
-	t, ok := s.member[v]
-	if !ok {
+	p := s.idx.pos(v)
+	if p < 0 {
 		return PortNodeInfo{Parent: NotInTree}, false
 	}
+	return s.portInfoAt(p), true
+}
+
+// portInfoAt exports the state of the member at position p.
+func (s *PortScheme) portInfoAt(p int) PortNodeInfo {
+	t := &s.tables[p]
 	return PortNodeInfo{
 		In: t.in, Out: t.out,
 		Parent: t.parent, Heavy: t.heavy,
 		HeavyIn: t.heavyIn, HeavyOut: t.heavyOut,
 		LightDepth: t.lightDepth,
-		Children:   t.children,
-		Label:      s.labels[v],
-	}, true
+		Children:   s.children(t),
+		Label:      s.labels[p],
+	}
 }
 
 // AssemblePorts compiles a PortScheme from per-node state, mirroring
@@ -42,11 +48,11 @@ func AssemblePorts(root int, info []PortNodeInfo) (*PortScheme, error) {
 	if root < 0 || root >= len(info) || info[root].Parent != -1 {
 		return nil, fmt.Errorf("treeroute: root %d invalid", root)
 	}
-	s := &PortScheme{
-		root:   root,
-		member: make(map[int]*portTable),
-		labels: make(map[int]PortLabel),
+	parent := make([]int, len(info))
+	for v := range info {
+		parent[v] = int(info[v].Parent)
 	}
+	s := &PortScheme{root: root, idx: newMemberIndex(parent)}
 	for v := range info {
 		ni := info[v]
 		if ni.Parent == NotInTree {
@@ -64,19 +70,21 @@ func AssemblePorts(root int, info []PortNodeInfo) (*PortScheme, error) {
 		if len(ni.Children) > 0 && ni.Children[0] != ni.Heavy {
 			return nil, fmt.Errorf("treeroute: node %d children[0] %d != heavy %d", v, ni.Children[0], ni.Heavy)
 		}
-		s.member[v] = &portTable{
+		lo := int32(len(s.kids))
+		s.kids = append(s.kids, ni.Children...)
+		s.tables = append(s.tables, portTable{
 			in: ni.In, out: ni.Out,
 			parent: ni.Parent, heavy: ni.Heavy,
 			heavyIn: ni.HeavyIn, heavyOut: ni.HeavyOut,
 			lightDepth: ni.LightDepth,
-			children:   ni.Children,
-		}
-		s.labels[v] = ni.Label
-		s.size++
+			kidLo:      lo,
+			kidHi:      int32(len(s.kids)),
+		})
+		s.labels = append(s.labels, ni.Label)
 	}
-	if rt := s.member[root]; int(rt.out-rt.in)+1 != s.size {
+	if rt := s.tables[s.idx.pos(root)]; int(rt.out-rt.in)+1 != s.Size() {
 		return nil, fmt.Errorf("treeroute: root interval [%d,%d] does not cover %d members",
-			rt.in, rt.out, s.size)
+			rt.in, rt.out, s.Size())
 	}
 	return s, nil
 }

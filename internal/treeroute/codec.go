@@ -7,20 +7,24 @@ import (
 )
 
 // Scheme and PortScheme bit codecs, used by the snapshot plane: encode
-// walks graph node ids 0..n-1 in order (never the member maps, keeping
-// the stream deterministic), decode rebuilds through Assemble /
-// AssemblePorts so restored schemes pass the same sanity checks as
-// protocol-built ones.
+// writes one membership bit per graph node id 0..n-1, in order, and
+// each member's state from the position-indexed tables (the members are
+// ascending, so a cursor over them keeps pace with the ids); decode
+// rebuilds through Assemble / AssemblePorts so restored schemes pass
+// the same sanity checks as protocol-built ones.
 
 // EncodeScheme serializes s over an n-node graph.
 func EncodeScheme(w *bits.Writer, s *Scheme, n int) {
 	w.WriteUvarint(uint64(s.root))
+	p := 0
 	for v := 0; v < n; v++ {
-		ni, ok := s.Info(v)
+		ok := p < len(s.idx) && int(s.idx[p]) == v
 		w.WriteBit(ok)
 		if !ok {
 			continue
 		}
+		ni := s.infoAt(p)
+		p++
 		w.WriteUvarint(uint64(ni.In))
 		w.WriteUvarint(uint64(ni.Out))
 		w.WriteUvarint(uint64(ni.Parent + 1))
@@ -94,12 +98,15 @@ func DecodeScheme(r *bits.Reader, n int) (*Scheme, error) {
 // EncodePortScheme serializes s over an n-node graph.
 func EncodePortScheme(w *bits.Writer, s *PortScheme, n int) {
 	w.WriteUvarint(uint64(s.root))
+	p := 0
 	for v := 0; v < n; v++ {
-		ni, ok := s.PortInfo(v)
+		ok := p < len(s.idx) && int(s.idx[p]) == v
 		w.WriteBit(ok)
 		if !ok {
 			continue
 		}
+		ni := s.portInfoAt(p)
+		p++
 		w.WriteUvarint(uint64(ni.In))
 		w.WriteUvarint(uint64(ni.Out))
 		w.WriteUvarint(uint64(ni.Parent + 1))

@@ -28,26 +28,34 @@ import (
 // In the port model a node's mapping from port numbers to link
 // endpoints is link-layer state, not routing table content; PortMapBits
 // reports what it would cost anyway.
+//
+// Tables and labels are indexed by member position (ascending node
+// id); every node's port->child map is one window of a shared arena.
 type PortScheme struct {
 	root   int
-	member map[int]*portTable
-	labels map[int]PortLabel
-	size   int
+	idx    memberIndex
+	tables []portTable
+	labels []PortLabel
+	// kids holds every node's children in port order, node by node.
+	kids []int32
 }
 
 // portTable is the per-node state: DFS interval, parent, heavy child
 // and its interval, the node's light-depth, and the port->child map
-// (charged separately).
+// (charged separately): kids[kidLo:kidHi] in port order, where the
+// first is the heavy child and the p-th after it the light child with
+// port p.
 type portTable struct {
 	in, out           int32
 	parent            int32
 	heavy             int32
 	heavyIn, heavyOut int32
 	lightDepth        int32
-	// children in port order: children[0] == heavy, children[p] is the
-	// light child with port p.
-	children []int32
+	kidLo, kidHi      int32
 }
+
+// children returns t's port->child map.
+func (s *PortScheme) children(t *portTable) []int32 { return s.kids[t.kidLo:t.kidHi:t.kidHi] }
 
 // PortLabel addresses one destination: its DFS-in number and the light
 // ports of its root path in top-down order.
@@ -165,29 +173,31 @@ func NewPortScheme(parent []int, root int) (*PortScheme, error) {
 			return cs[i] < cs[j]
 		})
 	}
-	s := &PortScheme{
-		root:   root,
-		member: make(map[int]*portTable, size),
-		labels: make(map[int]PortLabel, size),
-		size:   size,
-	}
+	s := &PortScheme{root: root, idx: newMemberIndex(parent)}
+	s.tables = make([]portTable, size)
+	s.labels = make([]PortLabel, size)
+	s.kids = make([]int32, 0, size-1)
 	next := int32(0)
 	var dfs func(v int, ports []int32, lightDepth int32)
 	dfs = func(v int, ports []int32, lightDepth int32) {
-		tbl := &portTable{in: next, parent: int32(parent[v]), heavy: -1, lightDepth: lightDepth}
+		p := s.idx.pos(v)
+		tbl := &s.tables[p]
+		*tbl = portTable{in: next, parent: int32(parent[v]), heavy: -1, lightDepth: lightDepth}
 		next++
-		s.member[v] = tbl
 		lbl := PortLabel{In: tbl.in, Ports: make([]int32, len(ports))}
 		copy(lbl.Ports, ports)
-		s.labels[v] = lbl
+		s.labels[p] = lbl
 		cs := children[v]
-		tbl.children = make([]int32, len(cs))
+		tbl.kidLo = int32(len(s.kids))
+		for _, c := range cs {
+			s.kids = append(s.kids, int32(c))
+		}
+		tbl.kidHi = int32(len(s.kids))
 		for i, c := range cs {
-			tbl.children[i] = int32(c)
 			if i == 0 {
 				tbl.heavy = int32(c)
 				dfs(c, ports, lightDepth)
-				hc := s.member[c]
+				hc := &s.tables[s.idx.pos(c)]
 				tbl.heavyIn, tbl.heavyOut = hc.in, hc.out
 			} else {
 				ext := make([]int32, len(ports)+1)
@@ -203,25 +213,27 @@ func NewPortScheme(parent []int, root int) (*PortScheme, error) {
 }
 
 // Size returns the number of tree members.
-func (s *PortScheme) Size() int { return s.size }
+func (s *PortScheme) Size() int { return len(s.idx) }
 
 // Contains reports membership.
-func (s *PortScheme) Contains(v int) bool {
-	_, ok := s.member[v]
-	return ok
+func (s *PortScheme) Contains(v int) bool { return s.idx.pos(v) >= 0 }
+
+// Label returns v's port label (the zero PortLabel for a non-member).
+func (s *PortScheme) Label(v int) PortLabel {
+	if p := s.idx.pos(v); p >= 0 {
+		return s.labels[p]
+	}
+	return PortLabel{}
 }
 
-// Label returns v's port label.
-func (s *PortScheme) Label(v int) PortLabel { return s.labels[v] }
-
 // LabelBits returns the encoded label size of v.
-func (s *PortScheme) LabelBits(v int) int { return s.labels[v].Bits() }
+func (s *PortScheme) LabelBits(v int) int { return s.Label(v).Bits() }
 
 // TableBits returns the routing-table size: interval, parent, heavy
 // child + interval, light-depth. Port->link resolution is link-layer
 // state in this model (see PortMapBits).
 func (s *PortScheme) TableBits(v int) int {
-	t := s.member[v]
+	t := &s.tables[s.idx.pos(v)]
 	n := bits.UvarintLen(uint64(t.in)) + bits.UvarintLen(uint64(t.out))
 	n += bits.UvarintLen(uint64(t.parent + 1))
 	n += bits.UvarintLen(uint64(t.heavy + 1))
@@ -235,16 +247,18 @@ func (s *PortScheme) TableBits(v int) int {
 // PortMapBits returns what v's port->neighbor map would cost if it
 // were charged to the routing table (one id per child).
 func (s *PortScheme) PortMapBits(v int, idBits int) int {
-	return len(s.member[v].children) * idBits
+	t := &s.tables[s.idx.pos(v)]
+	return int(t.kidHi-t.kidLo) * idBits
 }
 
 // NextHop performs one local step at u toward the destination labeled
 // dst.
 func (s *PortScheme) NextHop(u int, dst PortLabel) (next int, arrived bool, err error) {
-	t, ok := s.member[u]
-	if !ok {
+	pos := s.idx.pos(u)
+	if pos < 0 {
 		return 0, false, ErrNotInTree
 	}
+	t := &s.tables[pos]
 	switch {
 	case dst.In == t.in:
 		return 0, true, nil
@@ -263,10 +277,10 @@ func (s *PortScheme) NextHop(u int, dst PortLabel) (next int, arrived bool, err 
 			return 0, false, ErrBadLabel
 		}
 		p := int(dst.Ports[k])
-		if p < 1 || p >= len(t.children) {
+		if p < 1 || p >= int(t.kidHi-t.kidLo) {
 			return 0, false, ErrBadLabel
 		}
-		return int(t.children[p]), false, nil
+		return int(s.kids[int(t.kidLo)+p]), false, nil
 	}
 }
 
@@ -282,7 +296,7 @@ func (s *PortScheme) Route(src int, dst PortLabel) ([]int, error) {
 		if arrived {
 			return path, nil
 		}
-		if steps > s.size {
+		if steps > s.Size() {
 			return nil, errors.New("treeroute: routing loop")
 		}
 		cur = next

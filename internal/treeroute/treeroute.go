@@ -116,12 +116,13 @@ type nodeTable struct {
 
 // Scheme is a compiled tree-routing scheme over a subset of graph
 // nodes. Tree edges must be physical graph edges for the routes to be
-// realizable hop-by-hop (shortest-path trees satisfy this).
+// realizable hop-by-hop (shortest-path trees satisfy this). Tables and
+// labels are indexed by member position (ascending node id).
 type Scheme struct {
 	root   int
-	member map[int]*nodeTable
-	labels map[int]Label
-	size   int
+	idx    memberIndex
+	tables []nodeTable
+	labels []Label
 }
 
 // ChildOrder selects which child each node treats as "heavy" (the one
@@ -187,12 +188,9 @@ func NewOrdered(parent []int, root int, order ChildOrder) (*Scheme, error) {
 	}
 	// DFS-in/out with the heavy child visited first; light children in
 	// decreasing subtree size (ties by id) for determinism.
-	s := &Scheme{
-		root:   root,
-		member: make(map[int]*nodeTable, size),
-		labels: make(map[int]Label, size),
-		size:   size,
-	}
+	s := &Scheme{root: root, idx: newMemberIndex(parent)}
+	s.tables = make([]nodeTable, size)
+	s.labels = make([]Label, size)
 	before := func(a, b int) bool {
 		if order == IDOrder {
 			return a < b
@@ -216,21 +214,22 @@ func NewOrdered(parent []int, root int, order ChildOrder) (*Scheme, error) {
 	next := int32(0)
 	var dfs func(v int, light []LightEntry)
 	dfs = func(v int, light []LightEntry) {
-		tbl := &nodeTable{in: next, parent: int32(parent[v]), heavy: -1}
+		p := s.idx.pos(v)
+		tbl := &s.tables[p]
+		*tbl = nodeTable{in: next, parent: int32(parent[v]), heavy: -1}
 		if parent[v] == -1 {
 			tbl.parent = -1
 		}
 		next++
-		s.member[v] = tbl
 		lbl := Label{In: tbl.in, Light: make([]LightEntry, len(light))}
 		copy(lbl.Light, light)
-		s.labels[v] = lbl
+		s.labels[p] = lbl
 		cs := children[v]
 		for i, c := range cs {
 			if i == 0 {
 				tbl.heavy = int32(c)
 				dfs(c, light)
-				hc := s.member[c]
+				hc := &s.tables[s.idx.pos(c)]
 				tbl.heavyIn, tbl.heavyOut = hc.in, hc.out
 			} else {
 				// Copy: siblings must not share the slice's backing array.
@@ -247,28 +246,30 @@ func NewOrdered(parent []int, root int, order ChildOrder) (*Scheme, error) {
 }
 
 // Size returns the number of tree members.
-func (s *Scheme) Size() int { return s.size }
+func (s *Scheme) Size() int { return len(s.idx) }
 
 // Root returns the root node id.
 func (s *Scheme) Root() int { return s.root }
 
 // Contains reports whether graph node v is in the tree.
-func (s *Scheme) Contains(v int) bool {
-	_, ok := s.member[v]
-	return ok
+func (s *Scheme) Contains(v int) bool { return s.idx.pos(v) >= 0 }
+
+// Label returns v's routing label (the zero Label for a non-member).
+func (s *Scheme) Label(v int) Label {
+	if p := s.idx.pos(v); p >= 0 {
+		return s.labels[p]
+	}
+	return Label{}
 }
 
-// Label returns v's routing label. v must be a member.
-func (s *Scheme) Label(v int) Label { return s.labels[v] }
-
 // LabelBits returns the encoded size of v's label in bits.
-func (s *Scheme) LabelBits(v int) int { return s.labels[v].Bits() }
+func (s *Scheme) LabelBits(v int) int { return s.Label(v).Bits() }
 
 // TableBits returns the encoded size of v's routing table: the DFS
 // interval, parent id, heavy child id and interval, all uvarint-coded
 // (-1 sentinels shifted by one).
 func (s *Scheme) TableBits(v int) int {
-	t := s.member[v]
+	t := &s.tables[s.idx.pos(v)]
 	n := bits.UvarintLen(uint64(t.in)) + bits.UvarintLen(uint64(t.out))
 	n += bits.UvarintLen(uint64(t.parent + 1))
 	n += bits.UvarintLen(uint64(t.heavy + 1))
@@ -291,10 +292,11 @@ var ErrBadLabel = errors.New("treeroute: label does not resolve at this node")
 // arrived == true when u is the destination. The decision reads only
 // u's table and the label — the distributed-model contract.
 func (s *Scheme) NextHop(u int, dst Label) (next int, arrived bool, err error) {
-	t, ok := s.member[u]
-	if !ok {
+	p := s.idx.pos(u)
+	if p < 0 {
 		return 0, false, ErrNotInTree
 	}
+	t := &s.tables[p]
 	switch {
 	case dst.In == t.in:
 		return 0, true, nil
@@ -331,7 +333,7 @@ func (s *Scheme) Route(src int, dst Label) ([]int, error) {
 		if arrived {
 			return path, nil
 		}
-		if steps > s.size {
+		if steps > s.Size() {
 			return nil, errors.New("treeroute: routing loop")
 		}
 		cur = next
